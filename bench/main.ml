@@ -248,6 +248,35 @@ let run_benchmarks () =
   in
   List.iter (fun (name, est) -> Printf.printf "%-60s %14.0f ns/run\n" name est) rows
 
+(* --- machine-readable data points (BENCH_*.json) ------------------------------- *)
+
+let write_json file ~title json =
+  let oc = open_out file in
+  output_string oc json;
+  close_out oc;
+  print_endline ("\n===== " ^ title ^ " (" ^ file ^ ") =====");
+  print_string json
+
+let escape s =
+  let b = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* Every diamond soak shrinks a failure to a chaos_repro_seed<N>.sexp that
+   `conman chaos --replay` re-runs; federated ones to fed_repro_seed<N>.sexp. *)
+let diamond_soak = Chaos.Soak.run ~prefix:"chaos" ~replay:"conman chaos" Chaos.Engine.run
+
 (* --- self-healing data points (BENCH_selfheal.json) ---------------------------- *)
 
 (* One scripted incident on the diamond testbed: the chosen core uplink is
@@ -277,11 +306,6 @@ let selfheal_datapoints () =
   let sent_before = Nm.stats_sent nm in
   let mon = Monitor.create nm in
   Monitor.run mon ~ticks:10;
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
   let repaired_at =
     List.find_map
       (fun (e : Monitor.event) ->
@@ -309,11 +333,7 @@ let selfheal_datapoints () =
       (Netsim.Link.flaps seg)
       (Scenarios.diamond_reachable d)
   in
-  let oc = open_out "BENCH_selfheal.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "\n===== self-healing data points (BENCH_selfheal.json) =====";
-  print_string json
+  write_json "BENCH_selfheal.json" ~title:"self-healing data points" json
 
 (* --- fault-localization data points (BENCH_diagnose.json) ----------------------- *)
 
@@ -324,11 +344,6 @@ let selfheal_datapoints () =
    and diagnosed root cause, and the detection latency in virtual time
    (fault injection to first correct top-ranked diagnosis). *)
 let diagnose_datapoints () =
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
   let matches expected (v : Diagnose.verdict) =
     match (expected, v) with
     | "cut_link", Diagnose.Cut_link _ -> true
@@ -460,11 +475,7 @@ let diagnose_datapoints () =
       accuracy first_action (Monitor.repairs mon) (Monitor.resyncs mon)
       (Scenarios.diamond_reachable d)
   in
-  let oc = open_out "BENCH_diagnose.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "\n===== fault-localization data points (BENCH_diagnose.json) =====";
-  print_string json
+  write_json "BENCH_diagnose.json" ~title:"fault-localization data points" json
 
 (* --- chaos data points (BENCH_chaos.json) --------------------------------------- *)
 
@@ -476,19 +487,11 @@ let diagnose_datapoints () =
 let chaos_datapoints () =
   let soak_ticks = 6 in
   let seeds = List.init 20 (fun i -> i + 1) in
-  let per_seed =
-    List.map
-      (fun seed ->
-        let sched = Chaos.Schedule.generate ~seed ~ticks:soak_ticks () in
-        let r = Chaos.Engine.run sched in
-        let fails = List.map (fun v -> v.Chaos.Engine.name) (Chaos.Engine.failures r) in
-        (seed, List.length sched.Chaos.Schedule.events, r, fails))
-      seeds
-  in
-  let violations = List.length (List.filter (fun (_, _, _, fails) -> fails <> []) per_seed) in
+  let scheds = List.map (fun seed -> Chaos.Schedule.generate ~seed ~ticks:soak_ticks ()) seeds in
+  let per_seed = List.combine scheds (diamond_soak scheds) in
+  let violations = List.length (List.filter (fun (_, r) -> Chaos.Run.failures r <> []) per_seed) in
   (* the shrinker demo: weaken one invariant, shrink the resulting failure *)
-  let weak = { Chaos.Engine.default_config with Chaos.Engine.oscillation_bound = Some 0 } in
-  let failing s = Chaos.Engine.failures (Chaos.Engine.run ~config:weak s) <> [] in
+  let failing s = Chaos.Run.failures (Chaos.Engine.run ~oscillation_bound:0 s) <> [] in
   (* the demo needs a schedule that provokes at least one reroute: scan
      past the soak seeds for the first one the weakened invariant rejects *)
   let rec find_demo seed =
@@ -501,23 +504,16 @@ let chaos_datapoints () =
   let replay_reproduces =
     failing (Chaos.Schedule.of_string (Chaos.Schedule.to_string minimized))
   in
-  let escape s =
-    let b = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  in
-  let seed_json (seed, events, (r : Chaos.Engine.report), fails) =
+  let seed_json ((sched : Chaos.Schedule.t), (r : Chaos.Engine.report)) =
+    let fails = Chaos.Run.failed_names r in
     Printf.sprintf
       "    { \"seed\": %d, \"events\": %d, \"ok\": %b, \"repairs\": %d, \"nm_crashes\": %d, \
        \"converged\": %b, \"failed_invariants\": [%s] }"
-      seed events (fails = []) r.Chaos.Engine.total_repairs r.Chaos.Engine.nm_crashes
-      (r.Chaos.Engine.converged_tick <> None)
+      sched.Chaos.Schedule.seed
+      (List.length sched.Chaos.Schedule.events)
+      (fails = []) r.Chaos.Run.stats.Chaos.Engine.total_repairs
+      r.Chaos.Run.stats.Chaos.Engine.nm_crashes
+      (r.Chaos.Run.converged_tick <> None)
       (String.concat ", " (List.map (fun n -> "\"" ^ escape n ^ "\"") fails))
   in
   let json =
@@ -550,11 +546,7 @@ let chaos_datapoints () =
       runs replay_reproduces
       (escape (Chaos.Schedule.to_string minimized))
   in
-  let oc = open_out "BENCH_chaos.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "\n===== chaos soak data points (BENCH_chaos.json) =====";
-  print_string json
+  write_json "BENCH_chaos.json" ~title:"chaos soak data points" json
 
 (* --- HA failover data points (BENCH_ha.json) ------------------------------------ *)
 
@@ -585,20 +577,14 @@ let ha_datapoints () =
         } );
     ]
   in
-  let results =
-    List.map
-      (fun (name, sched) ->
-        let r = Chaos.Engine.run sched in
-        let fails = List.map (fun v -> v.Chaos.Engine.name) (Chaos.Engine.failures r) in
-        (name, r, fails))
-      scenarios
-  in
+  let results = List.combine (List.map fst scenarios) (diamond_soak (List.map snd scenarios)) in
+  let ha (r : Chaos.Engine.report) = r.Chaos.Run.stats.Chaos.Engine.ha in
   let crash_detection =
-    match results with (_, r, _) :: _ -> r.Chaos.Engine.ha.Chaos.Engine.detection_ticks | [] -> None
+    match results with (_, r) :: _ -> (ha r).Chaos.Engine.detection_ticks | [] -> None
   in
-  let total f = List.fold_left (fun acc (_, r, _) -> acc + f r.Chaos.Engine.ha) 0 results in
-  let scenario_json (name, (r : Chaos.Engine.report), fails) =
-    let h = r.Chaos.Engine.ha in
+  let total f = List.fold_left (fun acc (_, r) -> acc + f (ha r)) 0 results in
+  let scenario_json (name, r) =
+    let h = ha r in
     Printf.sprintf
       "    {\n\
       \      \"name\": \"%s\",\n\
@@ -611,11 +597,13 @@ let ha_datapoints () =
       \      \"final_epoch\": %d,\n\
       \      \"converged\": %b\n\
       \    }"
-      name (fails = []) h.Chaos.Engine.failovers
+      name
+      (Chaos.Run.failures r = [])
+      h.Chaos.Engine.failovers
       (match h.Chaos.Engine.detection_ticks with Some t -> string_of_int t | None -> "null")
       h.Chaos.Engine.replayed h.Chaos.Engine.split_brain_count h.Chaos.Engine.lost_intents
       h.Chaos.Engine.final_epoch
-      (r.Chaos.Engine.converged_tick <> None)
+      (r.Chaos.Run.converged_tick <> None)
   in
   let json =
     Printf.sprintf
@@ -634,13 +622,9 @@ let ha_datapoints () =
       (total (fun h -> h.Chaos.Engine.replayed))
       (total (fun h -> h.Chaos.Engine.split_brain_count))
       (total (fun h -> h.Chaos.Engine.lost_intents))
-      (List.length (List.filter (fun (_, _, fails) -> fails <> []) results))
+      (List.length (List.filter (fun (_, r) -> Chaos.Run.failures r <> []) results))
   in
-  let oc = open_out "BENCH_ha.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "\n===== HA failover data points (BENCH_ha.json) =====";
-  print_string json
+  write_json "BENCH_ha.json" ~title:"HA failover data points" json
 
 (* --- overload data points (BENCH_overload.json) --------------------------------- *)
 
@@ -661,61 +645,32 @@ let ha_datapoints () =
 let overload_datapoints () =
   let soak_ticks = 6 in
   let seeds = List.init 20 (fun i -> i + 1) in
-  let has_overload s =
-    List.exists
-      (fun (e : Chaos.Schedule.event) ->
-        match e.Chaos.Schedule.fault with Chaos.Schedule.Overload _ -> true | _ -> false)
-      s.Chaos.Schedule.events
-  in
-  let has_ha s =
-    List.exists
-      (fun (e : Chaos.Schedule.event) ->
-        match e.Chaos.Schedule.fault with
-        | Chaos.Schedule.Nm_crash | Chaos.Schedule.Nm_failover _ | Chaos.Schedule.Ha_partition _
-        | Chaos.Schedule.Standby_crash _ ->
-            true
-        | _ -> false)
-      s.Chaos.Schedule.events
-  in
-  let force_overload s =
-    if has_overload s then s
-    else
-      let ev =
-        { Chaos.Schedule.at = 1; fault = Chaos.Schedule.Overload { intensity = 0.6; ticks = 3 } }
-      in
-      {
-        s with
-        Chaos.Schedule.events =
-          List.stable_sort
-            (fun (a : Chaos.Schedule.event) b -> compare a.Chaos.Schedule.at b.Chaos.Schedule.at)
-            (ev :: s.Chaos.Schedule.events);
-      }
-  in
-  let per_seed =
+  let scheds =
     List.map
       (fun seed ->
-        let sched = force_overload (Chaos.Schedule.generate ~seed ~ticks:soak_ticks ()) in
-        let r = Chaos.Engine.run sched in
-        let fails = List.map (fun v -> v.Chaos.Engine.name) (Chaos.Engine.failures r) in
-        (seed, sched, r, fails))
+        Chaos.Schedule.with_overload ~intensity:0.6
+          (Chaos.Schedule.generate ~seed ~ticks:soak_ticks ()))
       seeds
   in
-  let violations = List.length (List.filter (fun (_, _, _, fails) -> fails <> []) per_seed) in
+  let per_seed = List.combine scheds (diamond_soak scheds) in
+  let violations = List.length (List.filter (fun (_, r) -> Chaos.Run.failures r <> []) per_seed) in
   let converged =
-    List.length (List.filter (fun (_, _, r, _) -> r.Chaos.Engine.converged_tick <> None) per_seed)
+    List.length (List.filter (fun (_, r) -> r.Chaos.Run.converged_tick <> None) per_seed)
   in
   let spurious_failovers =
-    List.fold_left
-      (fun acc (_, sched, r, _) ->
-        if (not (has_ha sched)) && r.Chaos.Engine.ha.Chaos.Engine.failovers > 0 then acc + 1
-        else acc)
-      0 per_seed
+    List.length
+      (List.filter
+         (fun (sched, (r : Chaos.Engine.report)) ->
+           (not (Chaos.Schedule.has_ha_fault sched))
+           && r.Chaos.Run.stats.Chaos.Engine.ha.Chaos.Engine.failovers > 0)
+         per_seed)
   in
-  let sum f = List.fold_left (fun acc (_, _, r, _) -> acc + f r.Chaos.Engine.overload) 0 per_seed in
+  let overload (r : Chaos.Engine.report) = r.Chaos.Run.stats.Chaos.Engine.overload in
+  let sum f = List.fold_left (fun acc (_, r) -> acc + f (overload r)) 0 per_seed in
   (* detection latency with and without the storm *)
   let detect events =
     let r = Chaos.Engine.run { Chaos.Schedule.seed = 0; ticks = 8; tail = 12; events } in
-    r.Chaos.Engine.ha.Chaos.Engine.detection_ticks
+    r.Chaos.Run.stats.Chaos.Engine.ha.Chaos.Engine.detection_ticks
   in
   let crash = { Chaos.Schedule.at = 2; fault = Chaos.Schedule.Nm_failover { ticks = 6 } } in
   let baseline_detect = detect [ crash ] in
@@ -753,15 +708,16 @@ let overload_datapoints () =
     Telemetry.maybe_scrape tel
   done;
   let wc = Mgmt.Admission.counters adm in
-  let seed_json (seed, _, (r : Chaos.Engine.report), fails) =
-    let o = r.Chaos.Engine.overload in
+  let seed_json ((sched : Chaos.Schedule.t), r) =
+    let o = overload r in
     Printf.sprintf
       "    { \"seed\": %d, \"ok\": %b, \"storm_frames\": %d, \"p0_shed\": %d, \"p1_shed\": %d, \
        \"p3_shed\": %d, \"converged\": %b }"
-      seed (fails = []) o.Chaos.Engine.storm_frames o.Chaos.Engine.p0_shed
-      o.Chaos.Engine.p1_shed
+      sched.Chaos.Schedule.seed
+      (Chaos.Run.failures r = [])
+      o.Chaos.Engine.storm_frames o.Chaos.Engine.p0_shed o.Chaos.Engine.p1_shed
       (o.Chaos.Engine.p3_shed + o.Chaos.Engine.p3_expired)
-      (r.Chaos.Engine.converged_tick <> None)
+      (r.Chaos.Run.converged_tick <> None)
   in
   let opt_int = function Some t -> string_of_int t | None -> "null" in
   let json =
@@ -813,11 +769,7 @@ let overload_datapoints () =
       wc.(3).Mgmt.Admission.queue_high_water base_period (Telemetry.period_ns tel)
       (Telemetry.backoffs tel)
   in
-  let oc = open_out "BENCH_overload.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "\n===== overload data points (BENCH_overload.json) =====";
-  print_string json
+  write_json "BENCH_overload.json" ~title:"overload data points" json
 
 let quick = Array.exists (fun a -> a = "--quick" || a = "quick") Sys.argv
 
@@ -829,45 +781,33 @@ let quick = Array.exists (fun a -> a = "--quick" || a = "quick") Sys.argv
    headline gates: every seed converges, no stitched pipe is ever left
    half-configured, and neither NM writes a single byte of configuration
    outside its own domain. Quick mode shortens the schedules but keeps
-   all 20 seeds, since the CI gates require full convergence counts. *)
+   all 20 seeds, since the CI gates require full convergence counts. The
+   reports feed the trace data points too. *)
 let federation_datapoints () =
   let soak_ticks = if quick then 6 else 10 in
   let seeds = List.init 20 (fun i -> i + 1) in
-  let per_seed =
-    List.map
-      (fun seed ->
-        let sched = Chaos.Fed_engine.generate ~seed ~ticks:soak_ticks () in
-        let r = Chaos.Fed_engine.run sched in
-        let fails = List.map (fun v -> v.Chaos.Fed_engine.name) (Chaos.Fed_engine.failures r) in
-        (seed, List.length sched.Chaos.Schedule.events, r, fails))
-      seeds
+  let scheds = List.map (fun seed -> Chaos.Fed_engine.generate ~seed ~ticks:soak_ticks ()) seeds in
+  let reports =
+    Chaos.Soak.run ~prefix:"fed" ~replay:"conman federation" Chaos.Fed_engine.run scheds
   in
-  let sum f = List.fold_left (fun acc (_, _, r, _) -> acc + f r) 0 per_seed in
+  let per_seed = List.combine scheds reports in
+  let sum f = List.fold_left (fun acc (r : Chaos.Fed_engine.report) -> acc + f r.Chaos.Run.stats) 0 reports in
   let converged =
-    List.length
-      (List.filter (fun (_, _, r, _) -> r.Chaos.Fed_engine.converged_tick <> None) per_seed)
+    List.length (List.filter (fun r -> r.Chaos.Run.converged_tick <> None) reports)
   in
-  let violations = List.length (List.filter (fun (_, _, _, fails) -> fails <> []) per_seed) in
-  let escape s =
-    let b = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  in
-  let seed_json (seed, events, (r : Chaos.Fed_engine.report), fails) =
+  let violations = List.length (List.filter (fun r -> Chaos.Run.failures r <> []) reports) in
+  let seed_json ((sched : Chaos.Schedule.t), (r : Chaos.Fed_engine.report)) =
+    let fails = Chaos.Run.failed_names r and st = r.Chaos.Run.stats in
     Printf.sprintf
       "    { \"seed\": %d, \"events\": %d, \"ok\": %b, \"converged\": %b, \"replans\": %d, \
        \"backouts\": %d, \"relays\": %d, \"half_configured\": %d, \"foreign_writes\": %d, \
        \"failed_invariants\": [%s] }"
-      seed events (fails = [])
-      (r.Chaos.Fed_engine.converged_tick <> None)
-      r.Chaos.Fed_engine.replans r.Chaos.Fed_engine.backouts r.Chaos.Fed_engine.relays
-      r.Chaos.Fed_engine.half_configured r.Chaos.Fed_engine.foreign_writes
+      sched.Chaos.Schedule.seed
+      (List.length sched.Chaos.Schedule.events)
+      (fails = [])
+      (r.Chaos.Run.converged_tick <> None)
+      st.Chaos.Fed_engine.replans st.Chaos.Fed_engine.backouts st.Chaos.Fed_engine.relays
+      st.Chaos.Fed_engine.half_configured st.Chaos.Fed_engine.foreign_writes
       (String.concat ", " (List.map (fun n -> "\"" ^ escape n ^ "\"") fails))
   in
   let json =
@@ -895,45 +835,32 @@ let federation_datapoints () =
       (sum (fun r -> r.Chaos.Fed_engine.relays))
       (String.concat ",\n" (List.map seed_json per_seed))
   in
-  let oc = open_out "BENCH_federation.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "\n===== federation soak data points (BENCH_federation.json) =====";
-  print_string json
+  write_json "BENCH_federation.json" ~title:"federation soak data points" json;
+  (soak_ticks, per_seed)
 
 (* --- trace data points (BENCH_trace.json) --------------------------------------- *)
 
-(* The observability acceptance soak. Every federated chaos seed must
-   yield ONE connected span tree for its cross-domain goal — a single
-   root, zero orphan spans anywhere in either NM's collector — and the
-   per-phase latency samples (plan, commit, abort; plus the diamond
-   engine's HA failover-detection latency) are merged across seeds into
-   percentile summaries. CI gates on [orphan_spans_total] == 0,
-   [disconnected_runs] == 0 and the presence of the phase-latency
-   percentile fields. *)
-let trace_datapoints () =
-  let fed_ticks = if quick then 6 else 10 in
-  let fed_seeds = List.init 20 (fun i -> i + 1) in
-  let fed_runs =
-    List.map
-      (fun seed -> (seed, Chaos.Fed_engine.run (Chaos.Fed_engine.generate ~seed ~ticks:fed_ticks ())))
-      fed_seeds
-  in
+(* The observability acceptance soak, over the federation soak's reports
+   plus 10 diamond runs. Every run must yield ONE connected span tree per
+   traced goal — a single root, zero orphan spans anywhere in any NM's
+   collector — and the per-phase latency samples (plan, commit, abort;
+   plus the diamond engine's HA failover-detection latency) are merged
+   across seeds into percentile summaries. CI gates on
+   [orphan_spans_total] == 0, [disconnected_runs] == 0 and the presence of
+   the phase-latency percentile fields. *)
+let trace_datapoints (fed_ticks, fed_runs) =
   let dia_ticks = if quick then 6 else 10 in
   let dia_seeds = List.init 10 (fun i -> i + 1) in
   let dia_runs =
-    List.map
-      (fun seed -> (seed, Chaos.Engine.run (Chaos.Schedule.generate ~seed ~ticks:dia_ticks ())))
-      dia_seeds
+    diamond_soak (List.map (fun seed -> Chaos.Schedule.generate ~seed ~ticks:dia_ticks ()) dia_seeds)
   in
-  let orphan_spans_total =
-    List.fold_left (fun acc (_, r) -> acc + r.Chaos.Fed_engine.orphan_spans) 0 fed_runs
-    + List.fold_left (fun acc (_, r) -> acc + r.Chaos.Engine.orphan_spans) 0 dia_runs
-  in
-  let disconnected_runs =
-    List.length (List.filter (fun (_, r) -> not r.Chaos.Fed_engine.trace_connected) fed_runs)
-  in
-  let total_spans = List.fold_left (fun acc (_, r) -> acc + r.Chaos.Fed_engine.total_spans) 0 fed_runs in
+  let fed_reports = List.map snd fed_runs in
+  let count f rs = List.fold_left (fun acc r -> acc + f r) 0 rs in
+  let orphans r = r.Chaos.Run.orphan_spans in
+  let orphan_spans_total = count orphans fed_reports + count orphans dia_runs in
+  let disconnected r = if Chaos.Run.holds r "trace-connected" then 0 else 1 in
+  let disconnected_runs = count disconnected fed_reports + count disconnected dia_runs in
+  let total_spans = count (fun r -> r.Chaos.Run.total_spans) fed_reports in
   (* merge raw samples across runs, then take percentiles once *)
   let merged = Hashtbl.create 8 in
   let add samples =
@@ -943,8 +870,8 @@ let trace_datapoints () =
         Hashtbl.replace merged k (prev @ vs))
       samples
   in
-  List.iter (fun (_, r) -> add r.Chaos.Fed_engine.phase_samples) fed_runs;
-  List.iter (fun (_, r) -> add r.Chaos.Engine.phase_samples) dia_runs;
+  List.iter (fun r -> add r.Chaos.Run.phase_samples) fed_reports;
+  List.iter (fun r -> add r.Chaos.Run.phase_samples) dia_runs;
   let phase_json key =
     let vs = match Hashtbl.find_opt merged key with Some l -> l | None -> [] in
     match vs with
@@ -961,13 +888,13 @@ let trace_datapoints () =
           (float_of_int (List.fold_left ( + ) 0 vs) /. float_of_int n)
           (pct 0.50) (pct 0.90) (pct 0.99)
   in
-  let seed_json (seed, (r : Chaos.Fed_engine.report)) =
+  let seed_json ((sched : Chaos.Schedule.t), (r : Chaos.Fed_engine.report)) =
     Printf.sprintf
       "    { \"seed\": %d, \"spans\": %d, \"orphan_spans\": %d, \"connected\": %b, \
        \"converged\": %b }"
-      seed r.Chaos.Fed_engine.total_spans r.Chaos.Fed_engine.orphan_spans
-      r.Chaos.Fed_engine.trace_connected
-      (r.Chaos.Fed_engine.converged_tick <> None)
+      sched.Chaos.Schedule.seed r.Chaos.Run.total_spans r.Chaos.Run.orphan_spans
+      (Chaos.Run.holds r "trace-connected")
+      (r.Chaos.Run.converged_tick <> None)
   in
   let json =
     Printf.sprintf
@@ -988,37 +915,23 @@ let trace_datapoints () =
        %s\n\
       \  ]\n\
        }\n"
-      (List.length fed_seeds) fed_ticks (List.length dia_seeds) dia_ticks orphan_spans_total
+      (List.length fed_runs) fed_ticks (List.length dia_seeds) dia_ticks orphan_spans_total
       disconnected_runs total_spans
       (String.concat ",\n"
          (List.map phase_json
             [ "fed.plan_ticks"; "fed.commit_ticks"; "fed.abort_ticks"; "ha.failover_detect_ticks" ]))
       (String.concat ",\n" (List.map seed_json fed_runs))
   in
-  let oc = open_out "BENCH_trace.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "\n===== trace soak data points (BENCH_trace.json) =====";
-  print_string json
+  write_json "BENCH_trace.json" ~title:"trace soak data points" json
 
 let () =
-  if quick then begin
-    selfheal_datapoints ();
-    diagnose_datapoints ();
-    chaos_datapoints ();
-    ha_datapoints ();
-    overload_datapoints ();
-    federation_datapoints ();
-    trace_datapoints ()
-  end
-  else begin
+  if not quick then begin
     reproductions ();
-    run_benchmarks ();
-    selfheal_datapoints ();
-    diagnose_datapoints ();
-    chaos_datapoints ();
-    ha_datapoints ();
-    overload_datapoints ();
-    federation_datapoints ();
-    trace_datapoints ()
-  end
+    run_benchmarks ()
+  end;
+  selfheal_datapoints ();
+  diagnose_datapoints ();
+  chaos_datapoints ();
+  ha_datapoints ();
+  overload_datapoints ();
+  trace_datapoints (federation_datapoints ())

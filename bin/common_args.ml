@@ -28,12 +28,6 @@ let replay ~doc () = Arg.(value & opt (some file) None & info [ "replay" ] ~docv
 
 let out ~doc () = Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
 
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  output_string oc "\n";
-  close_out oc
-
 let read_file path =
   let ic = open_in path in
   let n = in_channel_length ic in

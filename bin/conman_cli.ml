@@ -344,56 +344,31 @@ let chaos_trace_arg =
 
 let chaos seed seeds ticks intensity quick replay weaken out show_trace =
   let ticks = match ticks with Some t -> t | None -> if quick then 6 else 12 in
-  let config =
+  let oscillation_bound, replay_cmd =
     match weaken with
-    | Some `Oscillation ->
-        { Chaos.Engine.default_config with Chaos.Engine.oscillation_bound = Some 0 }
-    | None -> Chaos.Engine.default_config
+    | Some `Oscillation -> (Some 0, "conman chaos --weaken oscillation")
+    | None -> (None, "conman chaos")
   in
-  let run_one sched =
-    let r = Chaos.Engine.run ~config sched in
+  let scheds =
+    match replay with
+    | Some file -> [ Chaos.Schedule.of_string (Common_args.read_file file) ]
+    | None ->
+        List.map
+          (fun s -> Chaos.Schedule.generate ~intensity ~seed:s ~ticks ())
+          (Option.value seeds ~default:[ seed ])
+  in
+  let show _ (sched : Chaos.Schedule.t) (r : Chaos.Engine.report) =
     Fmt.pr "seed %d · %d event(s) over %d ticks (+%d tail):@." sched.Chaos.Schedule.seed
       (List.length sched.Chaos.Schedule.events)
       sched.Chaos.Schedule.ticks sched.Chaos.Schedule.tail;
     Fmt.pr "%a" Chaos.Engine.pp_report r;
-    if show_trace then List.iter (fun l -> Fmt.pr "    %s@." l) r.Chaos.Engine.trace;
-    match Chaos.Engine.failures r with
-    | [] -> true
-    | fails ->
-        let names = List.map (fun v -> v.Chaos.Engine.name) fails in
-        Fmt.pr "  shrinking the failure...@.";
-        let failing s =
-          let r' = Chaos.Engine.run ~config s in
-          let names' = List.map (fun v -> v.Chaos.Engine.name) (Chaos.Engine.failures r') in
-          List.exists (fun n -> List.mem n names') names
-        in
-        let { Chaos.Shrink.minimized; runs } = Chaos.Shrink.minimize ~failing sched in
-        let path =
-          match out with
-          | Some p -> p
-          | None -> Printf.sprintf "chaos_repro_seed%d.sexp" sched.Chaos.Schedule.seed
-        in
-        Common_args.write_file path (Chaos.Schedule.to_string minimized);
-        Fmt.pr "  minimized to %d event(s) in %d runs:@."
-          (List.length minimized.Chaos.Schedule.events)
-          runs;
-        Fmt.pr "%a" Chaos.Schedule.pp minimized;
-        Fmt.pr "  repro written to %s (re-run with: conman chaos --replay %s%s)@." path path
-          (match weaken with Some `Oscillation -> " --weaken oscillation" | None -> "");
-        false
+    if show_trace then List.iter (fun l -> Fmt.pr "    %s@." l) r.Chaos.Run.stats.Chaos.Engine.trace
   in
-  let ok =
-    match replay with
-    | Some file -> run_one (Chaos.Schedule.of_string (Common_args.read_file file))
-    | None ->
-        let seed_list = match seeds with Some ss -> ss | None -> [ seed ] in
-        List.fold_left
-          (fun acc s ->
-            let sched = Chaos.Schedule.generate ~intensity ~seed:s ~ticks () in
-            run_one sched && acc)
-          true seed_list
+  let reports =
+    Chaos.Soak.run ?out ~show ~prefix:"chaos" ~replay:replay_cmd
+      (Chaos.Engine.run ?oscillation_bound) scheds
   in
-  if ok then Fmt.pr "all invariants held@." else exit 1
+  if Chaos.Soak.ok reports then Fmt.pr "all invariants held@." else exit 1
 
 let chaos_cmd =
   Cmd.v
@@ -448,11 +423,11 @@ let ha seed quick =
   Fmt.pr "HA failover scenarios (%s):@." (if quick then "quick" else "full");
   Fmt.pr "  %-22s %-6s %s@." "scenario" "result"
     "failovers detect replayed split-brain lost epoch";
-  let run_one (name, s) =
-    let r = Chaos.Engine.run s in
-    let h = r.Chaos.Engine.ha in
-    let fails = Chaos.Engine.failures r in
-    Fmt.pr "  %-22s %-6s %9d %6s %8d %11d %4d %5d@." name
+  let show i _ (r : Chaos.Engine.report) =
+    let h = r.Chaos.Run.stats.Chaos.Engine.ha in
+    let fails = Chaos.Run.failures r in
+    Fmt.pr "  %-22s %-6s %9d %6s %8d %11d %4d %5d@."
+      (fst (List.nth scenarios i))
       (if fails = [] then "ok" else "FAIL")
       h.Chaos.Engine.failovers
       (match h.Chaos.Engine.detection_ticks with
@@ -460,11 +435,13 @@ let ha seed quick =
       | None -> "-")
       h.Chaos.Engine.replayed h.Chaos.Engine.split_brain_count h.Chaos.Engine.lost_intents
       h.Chaos.Engine.final_epoch;
-    List.iter (fun v -> Fmt.pr "      %a@." Chaos.Engine.pp_verdict v) fails;
-    fails = []
+    List.iter (fun v -> Fmt.pr "      %a@." Chaos.Run.pp_verdict v) fails
   in
-  let ok = List.fold_left (fun acc sc -> run_one sc && acc) true scenarios in
-  if ok then Fmt.pr "verdict: all HA invariants held@."
+  let reports =
+    Chaos.Soak.run ~show ~prefix:"chaos" ~replay:"conman chaos" Chaos.Engine.run
+      (List.map snd scenarios)
+  in
+  if Chaos.Soak.ok reports then Fmt.pr "verdict: all HA invariants held@."
   else begin
     Fmt.pr "verdict: HA invariant violated@.";
     exit 1
@@ -496,45 +473,30 @@ let ov_quick_arg = Common_args.quick ()
 
 let overload seeds ticks intensity quick =
   let ticks = match ticks with Some t -> t | None -> if quick then 6 else 10 in
-  let force s =
-    let stormy =
-      List.exists
-        (fun (e : Chaos.Schedule.event) ->
-          match e.Chaos.Schedule.fault with Chaos.Schedule.Overload _ -> true | _ -> false)
-        s.Chaos.Schedule.events
-    in
-    if stormy then s
-    else
-      let ev =
-        { Chaos.Schedule.at = 1; fault = Chaos.Schedule.Overload { intensity; ticks = 3 } }
-      in
-      {
-        s with
-        Chaos.Schedule.events =
-          List.stable_sort
-            (fun (a : Chaos.Schedule.event) b -> compare a.Chaos.Schedule.at b.Chaos.Schedule.at)
-            (ev :: s.Chaos.Schedule.events);
-      }
-  in
   Fmt.pr "overload soak (%d seeds, %d ticks, storm intensity %.2f):@." (List.length seeds)
     ticks intensity;
   Fmt.pr "  %-6s %-6s %s@." "seed" "result" "storm  p0-shed p1-shed p3-shed  converged";
-  let run_one seed =
-    let r = Chaos.Engine.run (force (Chaos.Schedule.generate ~seed ~ticks ())) in
-    let o = r.Chaos.Engine.overload in
-    let fails = Chaos.Engine.failures r in
-    Fmt.pr "  %-6d %-6s %5d %8d %7d %7d  %s@." seed
+  let show _ (sched : Chaos.Schedule.t) (r : Chaos.Engine.report) =
+    let o = r.Chaos.Run.stats.Chaos.Engine.overload in
+    let fails = Chaos.Run.failures r in
+    Fmt.pr "  %-6d %-6s %5d %8d %7d %7d  %s@." sched.Chaos.Schedule.seed
       (if fails = [] then "ok" else "FAIL")
       o.Chaos.Engine.storm_frames o.Chaos.Engine.p0_shed o.Chaos.Engine.p1_shed
       (o.Chaos.Engine.p3_shed + o.Chaos.Engine.p3_expired)
-      (match r.Chaos.Engine.converged_tick with
+      (match r.Chaos.Run.converged_tick with
       | Some t -> Printf.sprintf "tail+%d" t
       | None -> "NO");
-    List.iter (fun v -> Fmt.pr "      %a@." Chaos.Engine.pp_verdict v) fails;
-    fails = []
+    List.iter (fun v -> Fmt.pr "      %a@." Chaos.Run.pp_verdict v) fails
   in
-  let ok = List.fold_left (fun acc s -> run_one s && acc) true seeds in
-  if ok then Fmt.pr "verdict: graceful degradation held@."
+  let scheds =
+    List.map
+      (fun seed -> Chaos.Schedule.with_overload ~intensity (Chaos.Schedule.generate ~seed ~ticks ()))
+      seeds
+  in
+  let reports =
+    Chaos.Soak.run ~show ~prefix:"chaos" ~replay:"conman chaos" Chaos.Engine.run scheds
+  in
+  if Chaos.Soak.ok reports then Fmt.pr "verdict: graceful degradation held@."
   else begin
     Fmt.pr "verdict: overload invariant violated@.";
     exit 1
@@ -576,58 +538,32 @@ let fed_out_arg =
 let federation seeds ticks intensity quick replay out =
   let ticks = match ticks with Some t -> t | None -> if quick then 6 else 10 in
   let seeds = if quick then List.filteri (fun i _ -> i < 5) seeds else seeds in
-  let run_one sched =
-    let r = Chaos.Fed_engine.run sched in
-    let fails = Chaos.Fed_engine.failures r in
-    Fmt.pr "  %-6d %-6s %8d %8d %6d %7d %7d  %s@." sched.Chaos.Schedule.seed
-      (if fails = [] then "ok" else "FAIL")
-      r.Chaos.Fed_engine.replans r.Chaos.Fed_engine.backouts r.Chaos.Fed_engine.relays
-      r.Chaos.Fed_engine.half_configured r.Chaos.Fed_engine.foreign_writes
-      (match r.Chaos.Fed_engine.converged_tick with
-      | Some t -> Printf.sprintf "tail+%d" t
-      | None -> "NO");
-    List.iter (fun v -> Fmt.pr "      %a@." Chaos.Fed_engine.pp_verdict v) fails;
-    match fails with
-    | [] -> true
-    | fails ->
-        let names = List.map (fun (v : Chaos.Fed_engine.verdict) -> v.Chaos.Fed_engine.name) fails in
-        Fmt.pr "  shrinking the failure...@.";
-        let failing s =
-          let names' =
-            List.map
-              (fun (v : Chaos.Fed_engine.verdict) -> v.Chaos.Fed_engine.name)
-              (Chaos.Fed_engine.failures (Chaos.Fed_engine.run s))
-          in
-          List.exists (fun n -> List.mem n names') names
-        in
-        let { Chaos.Shrink.minimized; runs } = Chaos.Shrink.minimize ~failing sched in
-        let path =
-          match out with
-          | Some p -> p
-          | None -> Printf.sprintf "fed_repro_seed%d.sexp" sched.Chaos.Schedule.seed
-        in
-        Common_args.write_file path (Chaos.Schedule.to_string minimized);
-        Fmt.pr "  minimized to %d event(s) in %d runs:@."
-          (List.length minimized.Chaos.Schedule.events)
-          runs;
-        Fmt.pr "%a" Chaos.Schedule.pp minimized;
-        Fmt.pr "  repro written to %s (re-run with: conman federation --replay %s)@." path path;
-        false
-  in
-  let ok =
+  let scheds =
     match replay with
-    | Some file ->
-        Fmt.pr "  %-6s %-6s %s@." "seed" "result" "replans backouts relays half-cfg foreign  converged";
-        run_one (Chaos.Schedule.of_string (Common_args.read_file file))
+    | Some file -> [ Chaos.Schedule.of_string (Common_args.read_file file) ]
     | None ->
         Fmt.pr "federated two-domain soak (%d seeds, %d ticks, NM crash + partition forced):@."
           (List.length seeds) ticks;
-        Fmt.pr "  %-6s %-6s %s@." "seed" "result" "replans backouts relays half-cfg foreign  converged";
-        List.fold_left
-          (fun acc s -> run_one (Chaos.Fed_engine.generate ~intensity ~seed:s ~ticks ()) && acc)
-          true seeds
+        List.map (fun s -> Chaos.Fed_engine.generate ~intensity ~seed:s ~ticks ()) seeds
   in
-  if ok then Fmt.pr "verdict: all federation invariants held@."
+  Fmt.pr "  %-6s %-6s %s@." "seed" "result" "replans backouts relays half-cfg foreign  converged";
+  let show _ (sched : Chaos.Schedule.t) (r : Chaos.Fed_engine.report) =
+    let st = r.Chaos.Run.stats in
+    let fails = Chaos.Run.failures r in
+    Fmt.pr "  %-6d %-6s %8d %8d %6d %7d %7d  %s@." sched.Chaos.Schedule.seed
+      (if fails = [] then "ok" else "FAIL")
+      st.Chaos.Fed_engine.replans st.Chaos.Fed_engine.backouts st.Chaos.Fed_engine.relays
+      st.Chaos.Fed_engine.half_configured st.Chaos.Fed_engine.foreign_writes
+      (match r.Chaos.Run.converged_tick with
+      | Some t -> Printf.sprintf "tail+%d" t
+      | None -> "NO");
+    List.iter (fun v -> Fmt.pr "      %a@." Chaos.Run.pp_verdict v) fails
+  in
+  let reports =
+    Chaos.Soak.run ?out ~show ~prefix:"fed" ~replay:"conman federation" Chaos.Fed_engine.run
+      scheds
+  in
+  if Chaos.Soak.ok reports then Fmt.pr "verdict: all federation invariants held@."
   else begin
     Fmt.pr "verdict: federation invariant violated@.";
     exit 1
@@ -712,10 +648,11 @@ let trace goal seed ticks clean =
       Fmt.pr
         "two-domain chaos run (seed %d, %d ticks): converged=%b orphans=%d connected=%b@.@."
         seed ticks
-        (r.Chaos.Fed_engine.converged_tick <> None)
-        r.Chaos.Fed_engine.orphan_spans r.Chaos.Fed_engine.trace_connected;
-      Fmt.pr "%s@." r.Chaos.Fed_engine.goal_trace;
-      Chaos.Fed_engine.failures r = []
+        (r.Chaos.Run.converged_tick <> None)
+        r.Chaos.Run.orphan_spans
+        (Chaos.Run.holds r "trace-connected");
+      Fmt.pr "%s@." r.Chaos.Run.goal_trace;
+      Chaos.Run.failures r = []
     end
   in
   if not ok then exit 1
@@ -754,7 +691,7 @@ let metrics seed ticks clean =
   end
   else
     let r = Chaos.Fed_engine.run (Chaos.Fed_engine.generate ~seed ~ticks ()) in
-    print_string r.Chaos.Fed_engine.metrics_json
+    print_string r.Chaos.Run.metrics_json
 
 let metrics_cmd =
   Cmd.v

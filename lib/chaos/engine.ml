@@ -2,15 +2,12 @@
    managed by an HA pair of NMs (primary + warm standby, see Ha) and
    checks global invariants.
 
-   The run has two phases. During the chaos phase each monitor tick first
-   fires due fault-reverts, then applies the schedule events due at that
-   tick, then gives both HA nodes their heartbeat/failure-detector tick,
-   then lets the acting leader's reconciliation loop take its tick (when
-   no node is acting — the primary crashed and the standby has not yet
-   promoted — virtual time still advances, so heartbeat gaps grow). After
-   the last chaos tick every outstanding fault is force-reverted and the
-   quiescence tail begins: up to [tail] clean ticks during which every
-   live intent must re-converge under whoever leads.
+   The chaos phase, forced quiescence and tail come from Run. Each engine
+   tick gives both HA nodes their heartbeat/failure-detector tick, then
+   lets the acting leader's reconciliation loop take its tick (when no
+   node is acting — the primary crashed and the standby has not yet
+   promoted — virtual time still advances, so heartbeat gaps grow). In
+   the tail every live intent must re-converge under whoever leads.
 
    Invariants checked at quiescence:
      convergence          every live intent Active and the testbed carries
@@ -31,25 +28,13 @@
      stale-state          tearing every surviving script down returns every
                           scoped device to its pre-achieve structural state
                           (no leaked pipes/labels/xconnects)
+     trace-connected      every traced goal has one root, zero orphans
 
    Everything is deterministic: same schedule, same verdicts, same fault
-   counters, same monitor event trace — which is what makes the shrinker
-   (Shrink) and `--replay` trustworthy. *)
+   counters, same monitor event trace. *)
 
 open Conman
 open Netsim
-
-type config = {
-  monitor : Monitor.config;
-  oscillation_bound : int option;
-      (* max successful reroutes per intent; None derives a generous bound
-         from the schedule size. Some 0 is the "weakened invariant" used to
-         demonstrate the shrinker. *)
-}
-
-let default_config = { monitor = Monitor.default_config; oscillation_bound = None }
-
-type verdict = { name : string; ok : bool; detail : string }
 
 type ha_stats = {
   failovers : int; (* promotions across both nodes *)
@@ -73,31 +58,22 @@ type overload_stats = {
   telemetry_backoffs : int; (* scrape-period doublings under shed feedback *)
 }
 
-type report = {
-  verdicts : verdict list;
-  converged_tick : int option; (* tail tick at which everything was healthy *)
+type stats = {
   total_repairs : int;
   nm_crashes : int;
   mgmt_counters : string;
   trace : string list; (* monitor event log, across NM incarnations *)
   ha : ha_stats;
   overload : overload_stats;
-  goal_trace : string; (* rendered span tree of the initial achieve goal *)
-  orphan_spans : int; (* across every traced goal — a lost context if nonzero *)
-  phase_samples : (string * int list) list;
-  (* raw latency samples (ha.failover_detect_ticks) for cross-run merging *)
-  metrics_json : string; (* the run's full registry dump *)
 }
 
-let failures r = List.filter (fun v -> not v.ok) r.verdicts
+type report = stats Run.report
 
-let pp_verdict ppf v =
-  Fmt.pf ppf "%-20s %s  %s" v.name (if v.ok then "ok  " else "FAIL") v.detail
-
-let pp_report ppf r =
-  List.iter (fun v -> Fmt.pf ppf "  %a@." pp_verdict v) r.verdicts;
+let pp_report ppf (rep : report) =
+  List.iter (fun v -> Fmt.pf ppf "  %a@." Run.pp_verdict v) rep.Run.verdicts;
+  let r = rep.Run.stats in
   Fmt.pf ppf "  converged=%s repairs=%d nm-crashes=%d %s@."
-    (match r.converged_tick with Some t -> Printf.sprintf "tail+%d" t | None -> "never")
+    (match rep.Run.converged_tick with Some t -> Printf.sprintf "tail+%d" t | None -> "never")
     r.total_repairs r.nm_crashes r.mgmt_counters;
   Fmt.pf ppf "  ha[failovers=%d detect=%s replayed=%d split-brain=%d lost=%d epoch=%d]@."
     r.ha.failovers
@@ -112,27 +88,13 @@ let pp_report ppf r =
       (Int64.div r.overload.telemetry_final_period_ns 1_000_000L)
       r.overload.telemetry_backoffs;
   (* a violated invariant ships with the goal's causal trace *)
-  if List.exists (fun v -> not v.ok) r.verdicts && r.goal_trace <> "" then
-    Fmt.pf ppf "  goal trace:@.%s@." r.goal_trace
-
-(* Same notion of structural state as the monitor's drift check: show_actual
-   keys, qualified by module, minus transient pending[..] negotiation
-   entries and all values (which carry traffic counters). *)
-let structural_keys state =
-  List.concat_map
-    (fun ((m : Ids.t), kvs) ->
-      List.filter_map
-        (fun (k, _) ->
-          if String.length k >= 8 && String.sub k 0 8 = "pending[" then None
-          else Some (Ids.qualified m ^ "/" ^ k))
-        kvs)
-    state
-  |> List.sort_uniq compare
+  if Run.failures rep <> [] && rep.Run.goal_trace <> "" then
+    Fmt.pf ppf "  goal trace:@.%s@." rep.Run.goal_trace
 
 let scope_keys nm scope =
   List.map
     (fun dev ->
-      (dev, match Nm.show_actual nm dev with Some st -> structural_keys st | None -> []))
+      (dev, match Nm.show_actual nm dev with Some st -> Monitor.structural_keys st | None -> []))
     scope
 
 let render_counters faults =
@@ -142,8 +104,9 @@ let render_counters faults =
     c.Mgmt.Faults.crash_drops c.Mgmt.Faults.partition_drops
 
 let ms_ns ms = Int64.mul (Int64.of_int ms) 1_000_000L
+let interval_ns = Monitor.default_config.Monitor.interval_ns
 
-let run ?(config = default_config) (sched : Schedule.t) =
+let run ?oscillation_bound (sched : Schedule.t) =
   (* Request ids embed a per-process NM boot counter, and their printed
      width leaks into frame sizes (and so into fault-stream alignment):
      pin the counter so a schedule replays identically in any process,
@@ -190,8 +153,8 @@ let run ?(config = default_config) (sched : Schedule.t) =
   let ha_config =
     {
       Ha.default_config with
-      Ha.heartbeat_period_ns = config.monitor.Monitor.interval_ns;
-      replay_horizon_ns = Some config.monitor.Monitor.interval_ns;
+      Ha.heartbeat_period_ns = interval_ns;
+      replay_horizon_ns = Some interval_ns;
     }
   in
   ignore (Observe.attach_nm obs ~prefix:"standby" ~station:Scenarios.standby_station_id standby_nm);
@@ -212,7 +175,7 @@ let run ?(config = default_config) (sched : Schedule.t) =
     let t = Telemetry.create ~scope nm in
     Telemetry.set_shed_probe t (fun () -> Mgmt.Admission.lost_total adm);
     tel := t;
-    Monitor.create ~config:config.monitor ~telemetry:t nm
+    Monitor.create ~telemetry:t nm
   in
   let mon = ref (mk_monitor (Ha.nm !acting)) in
   let trace = ref [] in
@@ -301,26 +264,15 @@ let run ?(config = default_config) (sched : Schedule.t) =
                 (Wire.encode (Wire.Show_perf_req { req = !storm_req }))
             done)
   in
-  let reverts = ref [] in (* (due_tick, undo) *)
-  let fire_reverts tick =
-    let due, later = List.partition (fun (at, _) -> at <= tick) !reverts in
-    reverts := later;
-    List.iter (fun (_, undo) -> undo ()) due
-  in
-  let crash_node ~tick ~ticks h =
+  let crash_node ~until ~ticks h =
     let id = Nm.my_id (Ha.nm h) in
     Mgmt.Faults.crash faults id;
     Ha.set_alive h false;
-    reverts :=
-      ( tick + ticks,
-        fun () ->
-          Mgmt.Faults.restart faults id;
-          Ha.set_alive h true )
-      :: !reverts
+    until ticks (fun () ->
+        Mgmt.Faults.restart faults id;
+        Ha.set_alive h true)
   in
-  let apply tick (e : Schedule.event) =
-    let until ticks undo = reverts := (tick + ticks, undo) :: !reverts in
-    match e.Schedule.fault with
+  let apply ~until ~tick = function
     | Schedule.Link_cut { seg = s; ticks } ->
         let sg = seg s in
         Link.cut sg;
@@ -337,15 +289,6 @@ let run ?(config = default_config) (sched : Schedule.t) =
         (* self-terminating: schedules its own cut/restore pairs *)
         Link.flap ~cycles (seg s) ~first_down_ns:10_000_000L ~down_ns:(ms_ns down_ms)
           ~up_ns:(ms_ns up_ms)
-    | Schedule.Mgmt_drop { p; ticks } ->
-        Mgmt.Faults.set_drop faults p;
-        until ticks (fun () -> Mgmt.Faults.set_drop faults 0.0)
-    | Schedule.Mgmt_duplicate { p; ticks } ->
-        Mgmt.Faults.set_duplicate faults p;
-        until ticks (fun () -> Mgmt.Faults.set_duplicate faults 0.0)
-    | Schedule.Mgmt_jitter { ms; ticks } ->
-        Mgmt.Faults.set_jitter faults (ms_ns ms);
-        until ticks (fun () -> Mgmt.Faults.set_jitter faults 0L)
     | Schedule.Mgmt_partition { dev; ticks } ->
         Mgmt.Faults.partition faults dev;
         until ticks (fun () -> Mgmt.Faults.heal faults dev)
@@ -359,36 +302,29 @@ let run ?(config = default_config) (sched : Schedule.t) =
                and re-applies active script slices *)
             Agent.announce (List.assoc dev d.Scenarios.dagents) net;
             Nm.run (Ha.nm !acting))
-    | Schedule.Nm_crash | Schedule.Nm_failover _ ->
+    | (Schedule.Nm_crash | Schedule.Nm_failover _) as f ->
         (* the acting leader crashes: heartbeats stop, the standby's
            failure detector must notice and promote. Nm_crash is the
            legacy single-NM event, mapped to a 2-tick failover. *)
-        let ticks =
-          match e.Schedule.fault with Schedule.Nm_failover { ticks } -> ticks | _ -> 2
-        in
+        let ticks = match f with Schedule.Nm_failover { ticks } -> ticks | _ -> 2 in
         incr nm_crashes;
         if !first_crash_tick = None then first_crash_tick := Some tick;
         let victim = match leader () with Some l -> l | None -> !acting in
-        crash_node ~tick ~ticks victim
+        crash_node ~until ~ticks victim
     | Schedule.Standby_crash { ticks } ->
         let victim =
           match leader () with Some l when l == ha_s -> ha_p | Some _ | None -> ha_s
         in
-        crash_node ~tick ~ticks victim
+        crash_node ~until ~ticks victim
     | Schedule.Ha_partition { ticks } ->
         (* isolate the NMs from each other while both keep reaching the
            agents: the standby will suspect the primary dead and promote,
            and only epoch fencing keeps the old primary from competing *)
-        let a = Scenarios.nm_station_id and b = Scenarios.standby_station_id in
-        Mgmt.Faults.set_drop faults ~src:a ~dst:b 1.0;
-        Mgmt.Faults.set_drop faults ~src:b ~dst:a 1.0;
-        until ticks (fun () ->
-            Mgmt.Faults.set_drop faults ~src:a ~dst:b 0.0;
-            Mgmt.Faults.set_drop faults ~src:b ~dst:a 0.0)
+        Run.partition ~until faults Scenarios.nm_station_id Scenarios.standby_station_id ticks
     | Schedule.Overload { intensity; ticks } ->
         storm := Some intensity;
         until ticks (fun () -> storm := None)
-    | Schedule.Peer_nm_crash _ | Schedule.Inter_domain_partition _ ->
+    | _ ->
         (* federation-only events; Fed_engine applies them over the
            two-domain deployment *)
         ()
@@ -397,9 +333,7 @@ let run ?(config = default_config) (sched : Schedule.t) =
      reconciles. With no live leader the clock still advances a full
      interval so the standby's heartbeat gap keeps growing. *)
   let advance_interval () =
-    ignore
-      (Net.run_until net
-         ~deadline:(Int64.add (Event_queue.now eq) config.monitor.Monitor.interval_ns))
+    ignore (Net.run_until net ~deadline:(Int64.add (Event_queue.now eq) interval_ns))
   in
   let ha_tick tick =
     Observe.set_tick obs tick;
@@ -408,19 +342,6 @@ let run ?(config = default_config) (sched : Schedule.t) =
     observe_leadership ();
     match ensure_leader () with Some _ -> Monitor.tick !mon | None -> advance_interval ()
   in
-  (* --- chaos phase ----------------------------------------------------- *)
-  Mgmt.Admission.reset_counters adm;
-  for tick = 0 to sched.Schedule.ticks - 1 do
-    fire_reverts tick;
-    List.iter (fun e -> if e.Schedule.at = tick then apply tick e) sched.Schedule.events;
-    inject_storm ();
-    ha_tick tick
-  done;
-  (* --- force quiescence ------------------------------------------------ *)
-  fire_reverts max_int;
-  Mgmt.Faults.clear faults;
-  List.iter (fun n -> Link.clear_faults (seg n)) Schedule.core_segments;
-  (* --- quiescence tail -------------------------------------------------- *)
   let live () =
     List.filter
       (fun (i : Intent.t) -> i.Intent.status <> Intent.Retired)
@@ -432,13 +353,22 @@ let run ?(config = default_config) (sched : Schedule.t) =
     && List.for_all (fun (i : Intent.t) -> i.Intent.status = Intent.Active) l
     && Scenarios.diamond_reachable d
   in
-  let converged = ref None in
-  let tail_tick = ref 0 in
-  while !converged = None && !tail_tick < sched.Schedule.tail do
-    incr tail_tick;
-    ha_tick (sched.Schedule.ticks + !tail_tick - 1);
-    if healthy () then converged := Some !tail_tick
-  done;
+  Mgmt.Admission.reset_counters adm;
+  let converged =
+    Run.drive sched
+      {
+        Run.faults;
+        apply;
+        (* the storm is off once quiescence is forced, so the tail's
+           injections are no-ops *)
+        step =
+          (fun tick ->
+            inject_storm ();
+            ha_tick tick);
+        quiesce = (fun () -> List.iter (fun n -> Link.clear_faults (seg n)) Schedule.core_segments);
+        healthy;
+      }
+  in
   (* --- verdicts --------------------------------------------------------- *)
   (* everything from here on interrogates the final acting leader *)
   let nm = Ha.nm !acting in
@@ -447,10 +377,10 @@ let run ?(config = default_config) (sched : Schedule.t) =
   in
   let total_repairs = !dead_monitor_repairs + Monitor.repairs !mon in
   let v_convergence =
-    match !converged with
+    match converged with
     | Some t ->
         {
-          name = "convergence";
+          Run.name = "convergence";
           ok = true;
           detail = Printf.sprintf "all intents healthy %d tick(s) into the tail" t;
         }
@@ -463,7 +393,7 @@ let run ?(config = default_config) (sched : Schedule.t) =
           |> String.concat " "
         in
         {
-          name = "convergence";
+          Run.name = "convergence";
           ok = false;
           detail =
             Printf.sprintf "not converged after %d tail ticks (%s; reachable=%b)"
@@ -473,7 +403,7 @@ let run ?(config = default_config) (sched : Schedule.t) =
   in
   let v_oscillation =
     let bound =
-      match config.oscillation_bound with
+      match oscillation_bound with
       | Some b -> b
       | None -> (2 * List.length sched.Schedule.events) + 4
     in
@@ -481,7 +411,7 @@ let run ?(config = default_config) (sched : Schedule.t) =
       List.fold_left (fun acc i -> max acc (intent_repairs i)) 0 (Nm.intents nm)
     in
     {
-      name = "oscillation";
+      Run.name = "oscillation";
       ok = worst <= bound;
       detail = Printf.sprintf "max %d reroute(s) per intent (bound %d)" worst bound;
     }
@@ -506,7 +436,7 @@ let run ?(config = default_config) (sched : Schedule.t) =
         (Nm.intents nm)
     in
     match path with
-    | Some p when !converged <> None ->
+    | Some p when converged <> None ->
         (* a fresh store primed with healthy probe rounds must give the
            converged path a clean bill — leftover counter imbalances would
            mean the Diagnose model's conservation laws are violated *)
@@ -517,7 +447,7 @@ let run ?(config = default_config) (sched : Schedule.t) =
         done;
         let diag = Telemetry.diagnose_path tel p in
         {
-          name = "conservation";
+          Run.name = "conservation";
           ok = acct_ok && diag = [];
           detail =
             (if diag = [] then
@@ -528,7 +458,7 @@ let run ?(config = default_config) (sched : Schedule.t) =
         }
     | _ ->
         {
-          name = "conservation";
+          Run.name = "conservation";
           ok = acct_ok;
           detail = "drop accounting balanced (localizer skipped: no converged path)";
         }
@@ -555,7 +485,7 @@ let run ?(config = default_config) (sched : Schedule.t) =
       scope_keys nm3 d3.Scenarios.dscope
     in
     match reference with
-    | None -> { name = "journal-equivalence"; ok = false; detail = "reference achieve failed" }
+    | None -> { Run.name = "journal-equivalence"; ok = false; detail = "reference achieve failed" }
     | Some ref_keys ->
         let diff =
           List.concat_map
@@ -566,7 +496,7 @@ let run ?(config = default_config) (sched : Schedule.t) =
             ref_keys
         in
         {
-          name = "journal-equivalence";
+          Run.name = "journal-equivalence";
           ok = diff = [];
           detail =
             (if diff = [] then "recovered NM reaches the reference fixpoint"
@@ -594,7 +524,7 @@ let run ?(config = default_config) (sched : Schedule.t) =
   let v_single_primary =
     let ok = !split_brain = 0 && !epoch_conflicts = [] in
     {
-      name = "single-primary";
+      Run.name = "single-primary";
       ok;
       detail =
         (if ok then
@@ -634,7 +564,7 @@ let run ?(config = default_config) (sched : Schedule.t) =
   in
   let v_lost =
     {
-      name = "no-lost-intents";
+      Run.name = "no-lost-intents";
       ok = lost_intents = [];
       detail =
         (if lost_intents = [] then "every committed intent survived failover"
@@ -652,26 +582,10 @@ let run ?(config = default_config) (sched : Schedule.t) =
   let shed_of i =
     adm_counters.(i).Mgmt.Admission.shed + adm_counters.(i).Mgmt.Admission.expired
   in
-  let had_overload =
-    List.exists
-      (fun (e : Schedule.event) ->
-        match e.Schedule.fault with Schedule.Overload _ -> true | _ -> false)
-      sched.Schedule.events
-  in
-  let has_ha_fault =
-    List.exists
-      (fun (e : Schedule.event) ->
-        match e.Schedule.fault with
-        | Schedule.Nm_crash | Schedule.Nm_failover _ | Schedule.Ha_partition _
-        | Schedule.Standby_crash _ ->
-            true
-        | _ -> false)
-      sched.Schedule.events
-  in
   let v_no_p0p1_shed =
     let ok = shed_of 0 = 0 && shed_of 1 = 0 in
     {
-      name = "no-p0p1-shed";
+      Run.name = "no-p0p1-shed";
       ok;
       detail =
         (if ok then
@@ -681,13 +595,13 @@ let run ?(config = default_config) (sched : Schedule.t) =
     }
   in
   let v_overload =
-    if not had_overload then
-      { name = "overload-degradation"; ok = true; detail = "no overload event scheduled" }
+    if not (Schedule.has_overload sched) then
+      { Run.name = "overload-degradation"; ok = true; detail = "no overload event scheduled" }
     else
-      let spurious = (not has_ha_fault) && failovers > 0 in
-      let ok = !converged <> None && not spurious in
+      let spurious = (not (Schedule.has_ha_fault sched)) && failovers > 0 in
+      let ok = converged <> None && not spurious in
       {
-        name = "overload-degradation";
+        Run.name = "overload-degradation";
         ok;
         detail =
           (if ok then
@@ -722,7 +636,7 @@ let run ?(config = default_config) (sched : Schedule.t) =
         baseline
     in
     {
-      name = "stale-state";
+      Run.name = "stale-state";
       ok = leaked = [] && missing = [];
       detail =
         (if leaked = [] && missing = [] then "teardown reclaimed all datapath state"
@@ -738,52 +652,38 @@ let run ?(config = default_config) (sched : Schedule.t) =
     }
   in
   let trace = !trace @ List.map (Fmt.str "%a" Monitor.pp_event) (Monitor.events !mon) in
-  let cols = Observe.collectors obs in
-  let goal_trace =
-    (* the first traced goal is the initial achieve; later roots are
-       monitor repairs and back-outs *)
-    match Obs.Trace.goals cols with g :: _ -> Obs.Trace.render cols g | [] -> ""
-  in
-  let orphan_spans =
-    List.fold_left (fun acc g -> acc + List.length (Obs.Trace.orphans cols g)) 0
-      (Obs.Trace.goals cols)
-  in
-  {
-    verdicts =
-      [
-        v_convergence; v_oscillation; v_conservation; v_journal; v_single_primary; v_lost;
-        v_no_p0p1_shed; v_overload; v_stale;
-      ];
-    converged_tick = !converged;
-    total_repairs;
-    nm_crashes = !nm_crashes;
-    mgmt_counters = render_counters faults;
-    trace;
-    ha =
-      {
-        failovers;
-        detection_ticks;
-        replayed = Ha.replayed ha_p + Ha.replayed ha_s;
-        split_brain_count = !split_brain;
-        lost_intents = List.length lost_intents;
-        final_epoch;
-      };
-    overload =
-      {
-        storm_frames = !storm_frames;
-        p0_shed = shed_of 0;
-        p1_shed = shed_of 1;
-        p2_shed = shed_of 2;
-        p3_shed = adm_counters.(3).Mgmt.Admission.shed;
-        p3_expired = adm_counters.(3).Mgmt.Admission.expired;
-        p3_queue_high_water = adm_counters.(3).Mgmt.Admission.queue_high_water;
-        telemetry_final_period_ns = Telemetry.period_ns !tel;
-        telemetry_backoffs = Telemetry.backoffs !tel;
-      };
-    goal_trace;
-    orphan_spans;
-    phase_samples =
-      [ ("ha.failover_detect_ticks",
-         Obs.Registry.samples (Observe.registry obs) "ha.failover_detect_ticks") ];
-    metrics_json = Obs.Registry.to_json (Observe.registry obs);
-  }
+  (* the first traced goal is the initial achieve; later roots are monitor
+     repairs and back-outs *)
+  Run.report ~obs ~goals:(Obs.Trace.goals (Observe.collectors obs)) ~converged
+    ~phase_keys:[ "ha.failover_detect_ticks" ]
+    [
+      v_convergence; v_oscillation; v_conservation; v_journal; v_single_primary; v_lost;
+      v_no_p0p1_shed; v_overload; v_stale;
+    ]
+    {
+      total_repairs;
+      nm_crashes = !nm_crashes;
+      mgmt_counters = render_counters faults;
+      trace;
+      ha =
+        {
+          failovers;
+          detection_ticks;
+          replayed = Ha.replayed ha_p + Ha.replayed ha_s;
+          split_brain_count = !split_brain;
+          lost_intents = List.length lost_intents;
+          final_epoch;
+        };
+      overload =
+        {
+          storm_frames = !storm_frames;
+          p0_shed = shed_of 0;
+          p1_shed = shed_of 1;
+          p2_shed = shed_of 2;
+          p3_shed = adm_counters.(3).Mgmt.Admission.shed;
+          p3_expired = adm_counters.(3).Mgmt.Admission.expired;
+          p3_queue_high_water = adm_counters.(3).Mgmt.Admission.queue_high_water;
+          telemetry_final_period_ns = Telemetry.period_ns !tel;
+          telemetry_backoffs = Telemetry.backoffs !tel;
+        };
+    }

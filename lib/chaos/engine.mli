@@ -5,20 +5,9 @@
     journal-replay equivalence, at most one acting primary per epoch, no
     committed intent lost across failover, no liveness/mutation frame ever
     shed by admission control, convergence despite telemetry storms, no
-    stale datapath state). Fully deterministic: same schedule, same
+    stale datapath state, connected goal traces). The chaos loop and the
+    report come from {!Run}. Fully deterministic: same schedule, same
     report. *)
-
-type config = {
-  monitor : Conman.Monitor.config;
-  oscillation_bound : int option;
-      (** max successful reroutes per intent; [None] derives a bound from
-          the schedule size, [Some 0] is the deliberately weakened
-          invariant used to demonstrate the shrinker *)
-}
-
-val default_config : config
-
-type verdict = { name : string; ok : bool; detail : string }
 
 type ha_stats = {
   failovers : int;  (** promotions across both nodes *)
@@ -51,30 +40,22 @@ type overload_stats = {
       (** scrape-period doublings in response to shed feedback *)
 }
 
-type report = {
-  verdicts : verdict list;
-  converged_tick : int option;
-      (** tail tick at which every intent was healthy, if any *)
+type stats = {
   total_repairs : int;  (** successful reroutes across NM incarnations *)
   nm_crashes : int;
   mgmt_counters : string;  (** rendered management fault counters *)
   trace : string list;  (** monitor event log, across NM incarnations *)
   ha : ha_stats;
   overload : overload_stats;
-  goal_trace : string;
-      (** the initial achieve goal's rendered span tree, attached to every
-          report so a violated invariant ships with its causal history *)
-  orphan_spans : int;  (** across every traced goal — a lost context if nonzero *)
-  phase_samples : (string * int list) list;
-      (** raw latency samples ([ha.failover_detect_ticks]) so a soak can
-          merge histograms across seeds before taking percentiles *)
-  metrics_json : string;  (** the run's full {!Conman.Obs.Registry} dump *)
 }
 
-val run : ?config:config -> Schedule.t -> report
+type report = stats Run.report
+(** The report's [goal_trace] is the initial achieve's span tree; its
+    [phase_samples] hold [ha.failover_detect_ticks]. *)
 
-val failures : report -> verdict list
-(** The verdicts that did not hold. *)
+val run : ?oscillation_bound:int -> Schedule.t -> report
+(** [oscillation_bound] is the max successful reroutes per intent; by
+    default it is derived from the schedule size. [0] is the deliberately
+    weakened invariant used to demonstrate the shrinker. *)
 
-val pp_verdict : verdict Fmt.t
 val pp_report : report Fmt.t

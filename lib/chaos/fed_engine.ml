@@ -15,7 +15,9 @@
         a device in the other's domain;
      4. configuration parity — the converged federated configuration is
         exactly the single-NM one (same deterministic generator, so any
-        divergence is a protocol bug, not noise).
+        divergence is a protocol bug, not noise);
+     5. trace connectivity — the goal's span tree, stitched across both
+        NMs' collectors, has one root and no orphan (checked by Run).
 
    Fully deterministic: same schedule, same report. *)
 
@@ -26,11 +28,7 @@ module Fs = Federation.Fed_scenarios
 let chain_n = 4
 let interval_ns = 500_000_000L
 
-type verdict = Engine.verdict = { name : string; ok : bool; detail : string }
-
-type report = {
-  verdicts : verdict list;
-  converged_tick : int option; (* tail tick at which the goal was achieved *)
+type stats = {
   replans : int;
   backouts : int;
   relays : int;
@@ -38,30 +36,9 @@ type report = {
   half_configured : int; (* devices neither pristine nor fully configured at the end *)
   commits_received : int;
   aborts_received : int;
-  goal_trace : string; (* rendered span tree of the cross-domain goal *)
-  orphan_spans : int; (* spans whose parent vanished — must be 0 *)
-  trace_connected : bool;
-  total_spans : int; (* spans in the goal's tree *)
-  phase_samples : (string * int list) list;
-  (* raw per-phase latency samples (fed.plan/commit/abort_ticks) so a
-     soak can merge histograms across seeds before taking percentiles *)
-  metrics_json : string; (* the run's full registry dump *)
 }
 
-let failures r = List.filter (fun v -> not v.ok) r.verdicts
-
-let pp_verdict ppf v =
-  Fmt.pf ppf "[%s] %s%s" (if v.ok then "ok" else "VIOLATED") v.name
-    (if v.detail = "" then "" else ": " ^ v.detail)
-
-let pp_report ppf r =
-  List.iter (fun v -> Fmt.pf ppf "%a@." pp_verdict v) r.verdicts;
-  Fmt.pf ppf "replans=%d backouts=%d relays=%d commits=%d aborts=%d@." r.replans r.backouts
-    r.relays r.commits_received r.aborts_received;
-  (* a violated invariant ships with the goal's causal trace: the span
-     tree is the first thing one reads when triaging a repro *)
-  if List.exists (fun v -> not v.ok) r.verdicts && r.goal_trace <> "" then
-    Fmt.pf ppf "goal trace:@.%s@." r.goal_trace
+type report = stats Run.report
 
 (* --- schedule generation -------------------------------------------------- *)
 
@@ -115,22 +92,7 @@ let generate ?(intensity = 0.5) ~seed ~ticks () =
 
 (* --- invariant helpers ----------------------------------------------------- *)
 
-(* The structural part of a show_actual report: per-module state keys,
-   minus transient pending[..] negotiation state. *)
-let structural_keys nm dev =
-  match Nm.show_actual nm dev with
-  | None -> None
-  | Some state ->
-      Some
-        (List.concat_map
-           (fun ((m : Ids.t), kvs) ->
-             List.filter_map
-               (fun (k, _) ->
-                 if String.length k >= 8 && String.sub k 0 8 = "pending[" then None
-                 else Some (Ids.qualified m ^ "/" ^ k))
-               kvs)
-           state
-        |> List.sort_uniq compare)
+let device_keys nm dev = Option.map Monitor.structural_keys (Nm.show_actual nm dev)
 
 (* Fault-free single-NM run over the same testbed: the oracle for both
    the all-or-nothing check and configuration parity. *)
@@ -138,12 +100,12 @@ let baselines () =
   Nm.set_incarnations 0;
   let c = Scenarios.build_chain chain_n in
   let devs = c.Scenarios.cscope in
-  let pristine = List.map (fun d -> (d, structural_keys c.Scenarios.cnm d)) devs in
+  let pristine = List.map (fun d -> (d, device_keys c.Scenarios.cnm d)) devs in
   (match Nm.achieve c.Scenarios.cnm c.Scenarios.cgoal with
   | Ok _ -> ()
   | Error e -> failwith ("baseline achieve failed: " ^ e));
   Nm.run c.Scenarios.cnm;
-  let configured = List.map (fun d -> (d, structural_keys c.Scenarios.cnm d)) devs in
+  let configured = List.map (fun d -> (d, device_keys c.Scenarios.cnm d)) devs in
   (pristine, configured)
 
 (* --- the run ---------------------------------------------------------------- *)
@@ -160,24 +122,7 @@ let run (sched : Schedule.t) =
   let net = Nm.net (Fed.nm t.Fs.fwest) in
   let eq = Netsim.Net.eq net in
   let station_of = function "east" -> Fs.east_station | _ -> Fs.west_station in
-  let reverts = ref [] in
-  let fire_reverts tick =
-    let due, rest = List.partition (fun (at, _) -> at <= tick) !reverts in
-    reverts := rest;
-    List.iter (fun (_, undo) -> undo ()) due
-  in
-  let apply tick (e : Schedule.event) =
-    let until ticks undo = reverts := (tick + ticks, undo) :: !reverts in
-    match e.Schedule.fault with
-    | Schedule.Mgmt_drop { p; ticks } ->
-        Mgmt.Faults.set_drop faults p;
-        until ticks (fun () -> Mgmt.Faults.set_drop faults 0.0)
-    | Schedule.Mgmt_duplicate { p; ticks } ->
-        Mgmt.Faults.set_duplicate faults p;
-        until ticks (fun () -> Mgmt.Faults.set_duplicate faults 0.0)
-    | Schedule.Mgmt_jitter { ms; ticks } ->
-        Mgmt.Faults.set_jitter faults (Int64.mul (Int64.of_int ms) 1_000_000L);
-        until ticks (fun () -> Mgmt.Faults.set_jitter faults 0L)
+  let apply ~until ~tick:_ = function
     | Schedule.Peer_nm_crash { domain; ticks } ->
         let st = station_of domain in
         if not (Mgmt.Faults.is_crashed faults st) then begin
@@ -185,12 +130,7 @@ let run (sched : Schedule.t) =
           until ticks (fun () -> Mgmt.Faults.restart faults st)
         end
     | Schedule.Inter_domain_partition { ticks } ->
-        let w = Fs.west_station and e = Fs.east_station in
-        Mgmt.Faults.set_drop faults ~src:w ~dst:e 1.0;
-        Mgmt.Faults.set_drop faults ~src:e ~dst:w 1.0;
-        until ticks (fun () ->
-            Mgmt.Faults.set_drop faults ~src:w ~dst:e 0.0;
-            Mgmt.Faults.set_drop faults ~src:e ~dst:w 0.0)
+        Run.partition ~until faults Fs.west_station Fs.east_station ticks
     | _ ->
         (* diamond-only events have no meaning here; replaying a mixed
            repro file simply skips them *)
@@ -206,28 +146,21 @@ let run (sched : Schedule.t) =
     ignore (Netsim.Net.run_until net ~deadline:(Int64.add (Netsim.Event_queue.now eq) interval_ns))
   in
   let gid = Fed.submit t.Fs.fwest t.Fs.fgoal in
-  (* --- chaos phase ---- *)
-  for tick = 0 to sched.Schedule.ticks - 1 do
-    fire_reverts tick;
-    List.iter (fun e -> if e.Schedule.at = tick then apply tick e) sched.Schedule.events;
-    fed_tick tick
-  done;
-  (* --- force quiescence ---- *)
-  fire_reverts max_int;
-  Mgmt.Faults.clear faults;
-  (* --- quiescence tail ---- *)
-  let converged = ref None in
-  let tail_tick = ref 0 in
-  while !converged = None && !tail_tick < sched.Schedule.tail do
-    incr tail_tick;
-    fed_tick (sched.Schedule.ticks + !tail_tick - 1);
-    if Fed.achieved t.Fs.fwest gid && Fs.two_domain_reachable t then converged := Some !tail_tick
-  done;
+  let converged =
+    Run.drive sched
+      {
+        Run.faults;
+        apply;
+        step = fed_tick;
+        quiesce = ignore;
+        healthy = (fun () -> Fed.achieved t.Fs.fwest gid && Fs.two_domain_reachable t);
+      }
+  in
   (* --- verdicts ---- *)
   let owner_nm dev =
     if List.mem dev t.Fs.fwest_devices then Fed.nm t.Fs.fwest else Fed.nm t.Fs.feast
   in
-  let finals = List.map (fun d -> (d, structural_keys (owner_nm d) d)) t.Fs.fscope in
+  let finals = List.map (fun d -> (d, device_keys (owner_nm d) d)) t.Fs.fscope in
   let half =
     List.filter
       (fun (d, keys) -> keys <> List.assoc d pristine && keys <> List.assoc d configured)
@@ -238,16 +171,16 @@ let run (sched : Schedule.t) =
   in
   let fw = Nm.foreign_writes (Fed.nm t.Fs.fwest) + Nm.foreign_writes (Fed.nm t.Fs.feast) in
   let v_convergence =
-    match !converged with
+    match converged with
     | Some tk ->
         {
-          name = "convergence";
+          Run.name = "convergence";
           ok = true;
           detail = Printf.sprintf "cross-domain goal achieved %d tick(s) into the tail" tk;
         }
     | None ->
         {
-          name = "convergence";
+          Run.name = "convergence";
           ok = false;
           detail =
             Printf.sprintf "goal not achieved after %d tail ticks (reachable=%b replans=%d)"
@@ -258,77 +191,45 @@ let run (sched : Schedule.t) =
   let v_half =
     match half with
     | [] ->
-        { name = "no-half-configured"; ok = true; detail = "every device all-or-nothing" }
+        { Run.name = "no-half-configured"; ok = true; detail = "every device all-or-nothing" }
     | l ->
         {
-          name = "no-half-configured";
+          Run.name = "no-half-configured";
           ok = false;
           detail = "partial configuration on " ^ String.concat ", " (List.map fst l);
         }
   in
   let v_boundary =
     {
-      name = "write-boundary";
+      Run.name = "write-boundary";
       ok = fw = 0;
       detail = Printf.sprintf "%d state-changing request(s) crossed a domain boundary" fw;
     }
   in
   let v_parity =
-    match (!converged, mismatched) with
-    | None, _ -> { name = "show-actual-parity"; ok = false; detail = "not converged" }
+    match (converged, mismatched) with
+    | None, _ -> { Run.name = "show-actual-parity"; ok = false; detail = "not converged" }
     | Some _, [] ->
-        { name = "show-actual-parity"; ok = true; detail = "matches the single-NM run" }
+        { Run.name = "show-actual-parity"; ok = true; detail = "matches the single-NM run" }
     | Some _, l ->
         {
-          name = "show-actual-parity";
+          Run.name = "show-actual-parity";
           ok = false;
           detail = "diverges from the single-NM run on " ^ String.concat ", " (List.map fst l);
         }
   in
-  (* Trace connectivity: every span minted on the goal's behalf — by
-     either NM, any agent, the transport's retry events — must hang off
-     the single "fed-goal" root; an orphan means a context was lost
-     crossing a layer. *)
-  let cols = Observe.collectors obs in
-  let goal_id =
-    match Fed.goal_trace t.Fs.fwest gid with
-    | Some ctx -> Some ctx.Obs.Trace.goal
-    | None -> None
+  let goals =
+    match Fed.goal_trace t.Fs.fwest gid with Some ctx -> [ ctx.Obs.Trace.goal ] | None -> []
   in
-  let goal_trace, orphan_spans, trace_connected =
-    match goal_id with
-    | None -> ("", 0, false)
-    | Some g -> (Obs.Trace.render cols g, List.length (Obs.Trace.orphans cols g), Obs.Trace.connected cols g)
-  in
-  let v_trace =
+  Run.report ~obs ~goals ~converged
+    ~phase_keys:[ "fed.plan_ticks"; "fed.commit_ticks"; "fed.abort_ticks" ]
+    [ v_convergence; v_half; v_boundary; v_parity ]
     {
-      name = "trace-connected";
-      ok = trace_connected && orphan_spans = 0;
-      detail =
-        (if trace_connected then
-           Printf.sprintf "%d span(s), one root, zero orphans"
-             (match goal_id with Some g -> List.length (Obs.Trace.goal_spans cols g) | None -> 0)
-         else Printf.sprintf "%d orphan span(s)" orphan_spans);
+      replans = Fed.replans t.Fs.fwest;
+      backouts = Fed.backouts t.Fs.fwest;
+      relays = Fed.relays t.Fs.fwest + Fed.relays t.Fs.feast;
+      foreign_writes = fw;
+      half_configured = List.length half;
+      commits_received = Fed.commits_received t.Fs.feast + Fed.commits_received t.Fs.fwest;
+      aborts_received = Fed.aborts_received t.Fs.feast + Fed.aborts_received t.Fs.fwest;
     }
-  in
-  {
-    verdicts = [ v_convergence; v_half; v_boundary; v_parity; v_trace ];
-    converged_tick = !converged;
-    replans = Fed.replans t.Fs.fwest;
-    backouts = Fed.backouts t.Fs.fwest;
-    relays = Fed.relays t.Fs.fwest + Fed.relays t.Fs.feast;
-    foreign_writes = fw;
-    half_configured = List.length half;
-    commits_received = Fed.commits_received t.Fs.feast + Fed.commits_received t.Fs.fwest;
-    aborts_received = Fed.aborts_received t.Fs.feast + Fed.aborts_received t.Fs.fwest;
-    goal_trace;
-    orphan_spans;
-    trace_connected;
-    total_spans =
-      (match goal_id with Some g -> List.length (Obs.Trace.goal_spans cols g) | None -> 0);
-    phase_samples =
-      List.map
-        (fun k -> (k, Obs.Registry.samples (Observe.registry obs) k))
-        [ "fed.plan_ticks"; "fed.commit_ticks"; "fed.abort_ticks" ];
-    metrics_json = Obs.Registry.to_json (Observe.registry obs);
-  }

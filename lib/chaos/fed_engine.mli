@@ -5,14 +5,10 @@
     invariants — the cross-domain goal converges, no stitched pipe is
     left half-configured after a back-out, neither NM writes configuration
     outside its own domain, and the converged configuration is exactly
-    the single-NM one. Fully deterministic: same schedule, same report. *)
+    the single-NM one. The chaos loop and the report come from {!Run}.
+    Fully deterministic: same schedule, same report. *)
 
-type verdict = Engine.verdict = { name : string; ok : bool; detail : string }
-
-type report = {
-  verdicts : verdict list;
-  converged_tick : int option;
-      (** tail tick at which the goal was achieved and the edges reachable *)
+type stats = {
   replans : int;  (** coordinator planning rounds restarted *)
   backouts : int;  (** distributed back-outs driven *)
   relays : int;  (** cross-domain conveyMessages relayed, both nodes *)
@@ -21,19 +17,12 @@ type report = {
       (** devices neither pristine nor fully configured at the end — must be 0 *)
   commits_received : int;
   aborts_received : int;
-  goal_trace : string;
-      (** the cross-domain goal's rendered span tree, attached to every
-          report so a violated invariant ships with its causal history *)
-  orphan_spans : int;  (** spans whose parent vanished — must be 0 *)
-  trace_connected : bool;
-      (** one root, zero orphans across both NMs' collectors *)
-  total_spans : int;  (** spans in the goal's tree *)
-  phase_samples : (string * int list) list;
-      (** raw per-phase latency samples ([fed.plan_ticks],
-          [fed.commit_ticks], [fed.abort_ticks]) so a soak can merge
-          histograms across seeds before taking percentiles *)
-  metrics_json : string;  (** the run's full {!Conman.Obs.Registry} dump *)
 }
+
+type report = stats Run.report
+(** The report's [goal_trace] is the cross-domain goal's span tree; its
+    [phase_samples] hold [fed.plan_ticks], [fed.commit_ticks] and
+    [fed.abort_ticks]. *)
 
 val generate : ?intensity:float -> seed:int -> ticks:int -> unit -> Schedule.t
 (** Derives a two-domain schedule deterministically from [seed]. Both
@@ -45,9 +34,5 @@ val generate : ?intensity:float -> seed:int -> ticks:int -> unit -> Schedule.t
 val run : Schedule.t -> report
 (** Runs one schedule against a fresh two-domain chain deployment with
     the cross-domain goal submitted at the west NM, then checks the four
-    federation invariants. Diamond-only events in a replayed schedule are
-    skipped. *)
-
-val failures : report -> verdict list
-val pp_verdict : verdict Fmt.t
-val pp_report : report Fmt.t
+    federation invariants and trace connectivity. Diamond-only events in
+    a replayed schedule are skipped. *)

@@ -64,6 +64,16 @@ val generate : ?intensity:float -> seed:int -> ticks:int -> unit -> t
     of [Nm_failover], [Ha_partition], [Standby_crash] and [Overload] per
     schedule; the tail is extended when an HA fault is present. *)
 
+val has_ha_fault : t -> bool
+(** The schedule holds an NM-level HA fault ([Nm_crash], [Nm_failover],
+    [Ha_partition] or [Standby_crash]). *)
+
+val has_overload : t -> bool
+
+val with_overload : intensity:float -> t -> t
+(** Guarantees a telemetry storm: inserts [Overload { intensity; ticks = 3 }]
+    at tick 1 unless the schedule already holds an [Overload] event. *)
+
 (** {1 Rendering and codec} *)
 
 val pp_fault : fault Fmt.t

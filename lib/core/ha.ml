@@ -139,8 +139,8 @@ let ack_journal t = send_peer t (Wire.Ha_journal_ack { epoch = t.epoch; upto = j
    and give it a fresh detection grace period. A deposed primary also
    surrenders its unconfirmed requests to the new leader: agents fence its
    frames silently (the transport still acks, so it never retries), so any
-   back-out deletion or script slice it issued after losing leadership
-   would otherwise be stranded forever, leaking datapath state. *)
+   back-out deletion it issued after losing leadership would otherwise be
+   stranded forever, leaking datapath state. *)
 let observe_epoch t epoch =
   if epoch > t.epoch then begin
     t.epoch <- epoch;
@@ -154,6 +154,16 @@ let observe_epoch t epoch =
     end;
     reset_detector t
   end
+
+(* A script slice that creates state. A leader never adopts one from a
+   deposed primary: it belongs to a script the deposed primary bound after
+   its last journal entry reached us, so the new leader has no record of
+   it, and re-issuing it would resurrect state no teardown ever reclaims.
+   Back-out deletions (idempotent) and point assignments are adopted. *)
+let rec creates_state = function
+  | Wire.Traced { msg; _ } | Wire.Fenced { msg; _ } -> creates_state msg
+  | Wire.Bundle { cmds; _ } -> not (List.for_all Primitive.is_deletion cmds)
+  | _ -> false
 
 let on_msg t ~src:_ msg =
   if t.alive then
@@ -189,10 +199,10 @@ let on_msg t ~src:_ msg =
            is meaningful whatever epoch the standby believed in *)
         t.acked <- max t.acked upto
     | Wire.Ha_inflight { epoch; req; dst; msg } -> (
-        (* accepted whatever epoch the sender believed in: a delta from a
-           deposed primary (racing its own demotion, or the demotion
-           hand-off above) is exactly the unconfirmed work the new leader
-           must adopt — request ids are process-unique and agents answer
+        (* accepted whatever epoch the sender believed in: a standby
+           replicates every delta, and a leader adopts a deposed primary's
+           unconfirmed work except script creates (racing its own
+           demotion, or the demotion hand-off above) — request ids are process-unique and agents answer
            re-sends of executed requests from cache, so adopting one twice
            is harmless *)
         observe_epoch t epoch;
@@ -204,7 +214,7 @@ let on_msg t ~src:_ msg =
             end
         | Primary ->
             let ours = Nm.inflight t.nm in
-            if not (List.exists (fun (r, _, _) -> r = req) ours) then begin
+            if (not (creates_state msg)) && not (List.exists (fun (r, _, _) -> r = req) ours) then begin
               Nm.set_inflight t.nm ((req, dst, msg) :: ours);
               t.stats.inflight_seen <- t.stats.inflight_seen + 1
             end)

@@ -31,6 +31,12 @@ type event = { ev_time : int64; ev_intent : int; ev_what : string }
 
 type t
 
+val structural_keys : (Ids.t * (string * string) list) list -> string list
+(** The structural part of a [show_actual] report, as the drift check sees
+    it: state keys qualified by module ([dev.mod/key]), sorted and
+    deduplicated. Values are excluded (they carry traffic counters), as
+    are transient [pending[..]] negotiation entries. *)
+
 val create : ?config:config -> ?telemetry:Telemetry.t -> Nm.t -> t
 (** [telemetry] attaches a scrape store: each tick keeps it warm, and a
     failed probe scrapes + localizes before picking a repair rung. *)

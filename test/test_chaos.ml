@@ -56,30 +56,76 @@ let test_schedule_codec_roundtrip () =
 let test_quiet_schedule_all_invariants_hold () =
   let sched = { Chaos.Schedule.seed = 1; ticks = 3; tail = 8; events = [] } in
   let r = Chaos.Engine.run sched in
-  (match Chaos.Engine.failures r with
+  (match Chaos.Run.failures r with
   | [] -> ()
   | f :: _ ->
-      Alcotest.failf "quiet run violated %s: %s" f.Chaos.Engine.name f.Chaos.Engine.detail);
-  check tbool "converged immediately" true (r.Chaos.Engine.converged_tick <> None);
-  check tint "no repairs were needed" 0 r.Chaos.Engine.total_repairs
+      Alcotest.failf "quiet run violated %s: %s" f.Chaos.Run.name f.Chaos.Run.detail);
+  check tbool "converged immediately" true (r.Chaos.Run.converged_tick <> None);
+  check tint "no repairs were needed" 0 r.Chaos.Run.stats.Chaos.Engine.total_repairs
 
 let test_run_determinism () =
   let sched = Chaos.Schedule.generate ~seed:11 ~ticks:8 () in
   let a = Chaos.Engine.run sched in
   let b = Chaos.Engine.run sched in
-  check tstr "fault counters identical across fresh runs" a.Chaos.Engine.mgmt_counters
-    b.Chaos.Engine.mgmt_counters;
+  check tstr "fault counters identical across fresh runs"
+    a.Chaos.Run.stats.Chaos.Engine.mgmt_counters b.Chaos.Run.stats.Chaos.Engine.mgmt_counters;
   check tbool "monitor event traces identical" true
-    (a.Chaos.Engine.trace = b.Chaos.Engine.trace);
-  check tbool "verdicts identical" true (a.Chaos.Engine.verdicts = b.Chaos.Engine.verdicts)
+    (a.Chaos.Run.stats.Chaos.Engine.trace = b.Chaos.Run.stats.Chaos.Engine.trace);
+  check tbool "verdicts identical" true (a.Chaos.Run.verdicts = b.Chaos.Run.verdicts)
+
+(* Both engines append the run core's trace-connected verdict. *)
+let test_quiet_schedule_trace_connected () =
+  let r = Chaos.Engine.run { Chaos.Schedule.seed = 1; ticks = 3; tail = 8; events = [] } in
+  check tbool "diamond report carries a holding trace-connected verdict" true
+    (Chaos.Run.holds r "trace-connected");
+  check tint "no orphan spans" 0 r.Chaos.Run.orphan_spans
+
+(* Regression: under management jitter the monitor rerouted three times;
+   the primary then crashed before its last Bind reached the standby. On
+   its return the deposed primary's transport re-sent that reroute's
+   creates and the new leader adopted them, so state it had no record of
+   came back after its own re-achieve and survived teardown (9 leaked
+   keys on the B2 branch). *)
+let test_failover_after_jittered_reroutes_leaves_no_state () =
+  let sched =
+    Chaos.Schedule.of_string
+      "(chaos (seed 38) (ticks 6) (tail 12) (events (1 (mgmt-jitter 40 3)) (4 (nm-failover 4))))"
+  in
+  let r = Chaos.Engine.run sched in
+  check tbool "a failover happened" true (r.Chaos.Run.stats.Chaos.Engine.ha.Chaos.Engine.failovers > 0);
+  match Chaos.Run.failures r with
+  | [] -> ()
+  | f :: _ -> Alcotest.failf "violated %s: %s" f.Chaos.Run.name f.Chaos.Run.detail
 
 let test_composite_schedule_converges () =
   let sched = Chaos.Schedule.generate ~seed:5 ~ticks:8 () in
   let r = Chaos.Engine.run sched in
-  match Chaos.Engine.failures r with
+  match Chaos.Run.failures r with
   | [] -> ()
   | f :: _ ->
-      Alcotest.failf "seed 5 violated %s: %s" f.Chaos.Engine.name f.Chaos.Engine.detail
+      Alcotest.failf "seed 5 violated %s: %s" f.Chaos.Run.name f.Chaos.Run.detail
+
+(* --- the federated engine ------------------------------------------------ *)
+
+let test_fed_run_determinism () =
+  let sched = Chaos.Fed_engine.generate ~seed:3 ~ticks:6 () in
+  let a = Chaos.Fed_engine.run sched in
+  let b = Chaos.Fed_engine.run sched in
+  check tbool "equal reports" true (a = b);
+  match Chaos.Run.failures a with
+  | [] -> check tbool "trace-connected held" true (Chaos.Run.holds a "trace-connected")
+  | f :: _ -> Alcotest.failf "seed 3 violated %s: %s" f.Chaos.Run.name f.Chaos.Run.detail
+
+(* A replayed repro may mix in diamond-only events: the federated engine
+   skips them, so the report equals the run without them. *)
+let test_fed_skips_diamond_events () =
+  let sched = Chaos.Fed_engine.generate ~seed:4 ~ticks:6 () in
+  let cut = { Chaos.Schedule.at = 1; fault = Chaos.Schedule.Link_cut { seg = "A--B1"; ticks = 2 } } in
+  let mixed = { sched with Chaos.Schedule.events = cut :: sched.Chaos.Schedule.events } in
+  let replayed = Chaos.Schedule.of_string (Chaos.Schedule.to_string mixed) in
+  check tbool "the replayed schedule holds the cut" true
+    (List.mem cut replayed.Chaos.Schedule.events);
+  check tbool "the cut was skipped" true (Chaos.Fed_engine.run replayed = Chaos.Fed_engine.run sched)
 
 (* --- the shrinker ------------------------------------------------------- *)
 
@@ -87,9 +133,6 @@ let test_composite_schedule_converges () =
    single successful reroute is a "violation"; the shrinker must reduce a
    noisy schedule to (essentially) the one cut that matters. *)
 let test_shrinker_minimizes_planted_fault () =
-  let weak =
-    { Chaos.Engine.default_config with Chaos.Engine.oscillation_bound = Some 0 }
-  in
   let noisy =
     {
       Chaos.Schedule.seed = 21;
@@ -105,7 +148,7 @@ let test_shrinker_minimizes_planted_fault () =
         ];
     }
   in
-  let failing s = Chaos.Engine.failures (Chaos.Engine.run ~config:weak s) <> [] in
+  let failing s = Chaos.Run.failures (Chaos.Engine.run ~oscillation_bound:0 s) <> [] in
   check tbool "the noisy schedule violates the weakened invariant" true (failing noisy);
   let { Chaos.Shrink.minimized; runs } = Chaos.Shrink.minimize ~failing noisy in
   check tbool "shrinking made progress" true
@@ -116,11 +159,11 @@ let test_shrinker_minimizes_planted_fault () =
   (* the minimized repro replays deterministically from its serialised form *)
   let replayed = Chaos.Schedule.of_string (Chaos.Schedule.to_string minimized) in
   check tbool "replay still reproduces the violation" true (failing replayed);
-  let r1 = Chaos.Engine.run ~config:weak replayed in
-  let r2 = Chaos.Engine.run ~config:weak replayed in
+  let r1 = Chaos.Engine.run ~oscillation_bound:0 replayed in
+  let r2 = Chaos.Engine.run ~oscillation_bound:0 replayed in
   check tbool "replay is deterministic" true
-    (r1.Chaos.Engine.verdicts = r2.Chaos.Engine.verdicts
-    && r1.Chaos.Engine.trace = r2.Chaos.Engine.trace)
+    (r1.Chaos.Run.verdicts = r2.Chaos.Run.verdicts
+    && r1.Chaos.Run.stats.Chaos.Engine.trace = r2.Chaos.Run.stats.Chaos.Engine.trace)
 
 (* --- satellite: Faults.reset_counters ----------------------------------- *)
 
@@ -175,6 +218,15 @@ let () =
           Alcotest.test_case "deterministic runs" `Quick test_run_determinism;
           Alcotest.test_case "composite schedule converges" `Quick
             test_composite_schedule_converges;
+          Alcotest.test_case "quiet schedule: trace connected" `Quick
+            test_quiet_schedule_trace_connected;
+          Alcotest.test_case "failover after jittered reroutes leaks nothing" `Quick
+            test_failover_after_jittered_reroutes_leaves_no_state;
+        ] );
+      ( "fed-engine",
+        [
+          Alcotest.test_case "deterministic runs" `Quick test_fed_run_determinism;
+          Alcotest.test_case "skips diamond-only events" `Quick test_fed_skips_diamond_events;
         ] );
       ( "shrink",
         [

@@ -13,21 +13,12 @@ let tbool = Alcotest.bool
 let tint = Alcotest.int
 let tick_ns = 500_000_000L
 
-(* The structural part of a show_actual report: per-module state keys,
-   minus transient pending[..] negotiation state. *)
+(* The structural part of a show_actual report (see Monitor.structural_keys);
+   a device that does not answer fails the test. *)
 let structural_keys nm dev =
   match Nm.show_actual nm dev with
   | None -> Alcotest.failf "no showActual answer from %s" dev
-  | Some state ->
-      List.concat_map
-        (fun ((m : Ids.t), kvs) ->
-          List.filter_map
-            (fun (k, _) ->
-              if String.length k >= 8 && String.sub k 0 8 = "pending[" then None
-              else Some (Ids.qualified m ^ "/" ^ k))
-            kvs)
-        state
-      |> List.sort_uniq compare
+  | Some state -> Monitor.structural_keys state
 
 let owner_nm (t : Federation.Fed_scenarios.two_domain) dev =
   if List.mem dev t.Federation.Fed_scenarios.fwest_devices then

@@ -19,21 +19,12 @@ let path_devices (p : Path_finder.path) =
   List.sort_uniq compare
     (List.map (fun (v : Path_finder.visit) -> v.Path_finder.v_mod.Ids.dev) p.Path_finder.visits)
 
-(* The structural part of a show_actual report, as the monitor sees it:
-   per-module state keys, minus transient pending[..] negotiation state. *)
+(* The structural part of a show_actual report (see Monitor.structural_keys);
+   a device that does not answer fails the test. *)
 let structural_keys nm dev =
   match Nm.show_actual nm dev with
   | None -> Alcotest.failf "no showActual answer from %s" dev
-  | Some state ->
-      List.concat_map
-        (fun ((m : Ids.t), kvs) ->
-          List.filter_map
-            (fun (k, _) ->
-              if String.length k >= 8 && String.sub k 0 8 = "pending[" then None
-              else Some (Ids.qualified m ^ "/" ^ k))
-            kvs)
-        state
-      |> List.sort_uniq compare
+  | Some state -> Monitor.structural_keys state
 
 (* --- journal codec and replay -------------------------------------------------- *)
 
