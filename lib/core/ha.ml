@@ -365,8 +365,6 @@ let demotions t = t.stats.demotions
 let heartbeats_sent t = t.stats.heartbeats_sent
 let heartbeats_seen t = t.stats.heartbeats_seen
 let stale_rejects t = t.stats.stale_rejects
-let entries_shipped t = t.stats.entries_shipped
-let entries_applied t = t.stats.entries_applied
 let inflight_seen t = t.stats.inflight_seen
 let replayed t = t.stats.replayed
 let promotion_ticks t = List.rev t.stats.promotion_ticks

@@ -87,9 +87,6 @@ val heartbeats_seen : t -> int
 val stale_rejects : t -> int
 (** HA frames dropped for carrying a lower epoch than this node knows. *)
 
-val entries_shipped : t -> int
-val entries_applied : t -> int
-
 val inflight_seen : t -> int
 (** In-flight deltas applied to the standby's replica. *)
 

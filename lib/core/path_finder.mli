@@ -49,9 +49,6 @@ val find_hierarchical : ?prune_domains:bool -> Topology.t -> goal -> path list
     first (BFS over physical links), then the module-level paths restricted
     to it. *)
 
-val device_path : Topology.t -> goal -> string list option
-(** The BFS device walk used by {!find_hierarchical}. *)
-
 val signature : path -> string
 (** The paper's rendering: ["a, g, l, h, b, c, i, d, e, j, n, k, f"]. *)
 

@@ -20,18 +20,87 @@ let classify_payload payload =
   Mgmt.Admission.priority_of_int
     (match Wire.decode payload with exception _ -> 2 | msg -> Wire.priority_of msg)
 
-(* Builds the channel stack: base channel (Oob or Raw), fault-injection
-   layer, reliable delivery, overload admission on top. With default knobs
-   the fault layer is a no-op and the admission layer passes everything,
-   so fault-free runs behave as before — but every scenario can be made
-   lossy ([fault_seed] keeps it deterministic), squeezed ([admission]
-   tightens the overload budget) and the NM always has a transport to
-   learn give-ups from. For the raw in-band channel a management station
-   device is created and wired to [attach_to]. *)
-let make_channel ?(fault_seed = 42) ?reliability ?admission kind net ~devices ~attach_to =
-  let base, nms =
+(* One device's protocol modules, as its agent exposes them: everything
+   the NM learns about a device comes from these (Hello + showPotential). *)
+type spec =
+  | Eth of string * int list * bool (* module id, ports, switching *)
+  | Ip of string * string list * string (* module id, interfaces, address domain *)
+  | Gre of string
+  | Mpls of string
+  | Esp of string
+  | Ike of string
+  | Vlan of string
+
+type layout = (Device.t * spec list) list
+
+(* A router's ETH module: one port, no switching. *)
+let port mid p = Eth (mid, [ p ], false)
+
+(* A switch's ETH module: every port, switching. *)
+let switch_eth mid sw = Eth (mid, List.init (Array.length sw.Device.ports) Fun.id, true)
+
+(* The operator's address-domain knowledge: which IP module serves which
+   domain, read off the layout's Ip specs. Last registered first: a Fed
+   advert summarises domains in this order. *)
+let domains_of (layout : layout) =
+  List.fold_left
+    (fun acc (dev, specs) ->
+      List.fold_left
+        (fun acc -> function
+          | Ip (mid, _, domain) -> (Ids.v "IP" mid dev.Device.dev_id, domain) :: acc
+          | _ -> acc)
+        acc specs)
+    [] layout
+
+let customer_prefixes = [ ("C1-S1", "10.0.1.0/24"); ("C1-S2", "10.0.2.0/24") ]
+
+(* "Connect S1 and S2 of customer C1", from ETH module a on the first
+   device of [scope] to ETH module f on the last. *)
+let goal ~tradeoffs scope =
+  {
+    Path_finder.g_from = Ids.v "ETH" "a" (List.hd scope);
+    g_to = Ids.v "ETH" "f" (List.nth scope (List.length scope - 1));
+    g_customer = "C1";
+    g_src_domain = "C1-S1";
+    g_dst_domain = "C1-S2";
+    g_src_site = "S1";
+    g_dst_site = "S2";
+    g_tradeoffs = tradeoffs;
+    g_scope = scope;
+  }
+
+let default_tradeoffs = [ "in-order-delivery"; "low-error-rate" ]
+
+type deployment = {
+  net : Net.t;
+  chan : Mgmt.Channel.t;
+  faults : Mgmt.Faults.t;
+  transport : Mgmt.Reliable.t;
+  admission : Mgmt.Admission.t;
+  stations : (string * string list) list;
+  layout : layout;
+  agents : (Device.t * Agent.t) list;
+  ip_handles : (string * Ip_module.handle) list;
+}
+
+let eth_neighbours net dev i =
+  Net.neighbours net dev i
+  |> List.map (fun (d, pi) ->
+         (d.Device.dev_id, (Device.port d pi).Device.port_name))
+
+(* Builds the channel stack (base channel, fault injection, reliable
+   delivery, overload admission on top), then an agent per layout entry
+   homed to the station whose scope holds its device, with the entry's
+   modules registered in order. With default knobs the fault layer is a
+   no-op and the admission layer passes everything; [fault_seed] keeps any
+   injected faults deterministic. For the raw in-band channel a management
+   station device is created and wired to [attach_to]. Devices outside
+   every scope (the VPN's hosts) still get agents, homed to the first
+   station, but are left out of [agents] and never announced. *)
+let deploy ?(fault_seed = 42) kind net ~attach_to ~stations layout =
+  let base =
     match kind with
-    | `Oob -> (Mgmt.Channel.Oob.create (Net.eq net), None)
+    | `Oob -> Mgmt.Channel.Oob.create (Net.eq net)
     | `Raw ->
         let chan, attach = Mgmt.Channel.Raw.create () in
         let nms = Net.add_device net ~id:nm_station_id ~name:"NMS" in
@@ -40,24 +109,78 @@ let make_channel ?(fault_seed = 42) ?reliability ?admission kind net ~devices ~a
         let _ =
           Net.connect net ~name:"NMS-uplink" (nms, 0) (attach_to, host_port.Device.port_index)
         in
-        List.iter attach (nms :: devices);
-        (chan, Some nms)
+        List.iter attach (nms :: List.map fst layout);
+        chan
   in
   let faulty, faults = Mgmt.Faults.wrap ~seed:fault_seed ~eq:(Net.eq net) base in
   let reliable, transport =
-    Mgmt.Reliable.create ?config:reliability
+    Mgmt.Reliable.create
       ~classify:(fun payload -> Mgmt.Admission.priority_index (classify_payload payload))
       ~eq:(Net.eq net) faulty
   in
-  let chan, adm =
-    Mgmt.Admission.wrap ?config:admission ~eq:(Net.eq net) ~classify:classify_payload reliable
+  let chan, admission = Mgmt.Admission.wrap ~eq:(Net.eq net) ~classify:classify_payload reliable in
+  let station_of dev =
+    List.find_opt (fun (_, scope) -> List.mem dev.Device.dev_id scope) stations |> Option.map fst
   in
-  (chan, faults, transport, adm, nms)
+  let ip_handles = ref [] in
+  let setup (dev, specs) =
+    let home = Option.value (station_of dev) ~default:(fst (List.hd stations)) in
+    let agent = Agent.create ~chan ~nm_device:home dev in
+    let env = Agent.env agent in
+    let mref name mid = Ids.v name mid dev.Device.dev_id in
+    let plain make name mid = Agent.register agent (make ~env ~mref:(mref name mid) ()) in
+    List.iter
+      (function
+        | Eth (mid, ports, switching) ->
+            Agent.register agent
+              (Eth_module.make ~env ~mref:(mref "ETH" mid) ~ports ~switching
+                 ~neighbours:(eth_neighbours net dev) ())
+        | Ip (mid, ifaces, domain) ->
+            let impl, handle = Ip_module.make ~env ~mref:(mref "IP" mid) ~ifaces ~domain () in
+            ip_handles := (mid, handle) :: !ip_handles;
+            Agent.register agent impl
+        | Gre mid -> plain Gre_module.make "GRE" mid
+        | Mpls mid -> plain Mpls_module.make "MPLS" mid
+        | Esp mid -> plain Esp_module.make "ESP" mid
+        | Ike mid -> plain Ike_module.make "IKE" mid
+        | Vlan mid -> plain Vlan_module.make "VLAN" mid)
+      specs;
+    (dev, agent)
+  in
+  let agents = List.map setup layout in
+  let agents = List.filter (fun (dev, _) -> station_of dev <> None) agents in
+  { net; chan; faults; transport; admission; stations; layout; agents; ip_handles = !ip_handles }
 
-let eth_neighbours net dev i =
-  Net.neighbours net dev i
-  |> List.map (fun (d, pi) ->
-         (d.Device.dev_id, (Device.port d pi).Device.port_name))
+(* Discovery for NMs over a deployment's agents: every agent announces,
+   one run delivers the Hellos to all stations on the shared network, then
+   each NM harvests its scope and learns the address domains of the IP
+   modules in it. Switch-only layouts have no address domains, so their
+   NMs learn none. *)
+let adopt net agents layout nms =
+  List.iter (fun a -> Agent.announce a net) agents;
+  Nm.run (fst (List.hd nms));
+  List.iter (fun (nm, scope) -> Nm.harvest_potentials nm scope) nms;
+  let domains = domains_of layout in
+  if domains <> [] then
+    List.iter
+      (fun (nm, scope) ->
+        Topology.set_domains (Nm.topology nm)
+          ~module_domains:(List.filter (fun ((m : Ids.t), _) -> List.mem m.Ids.dev scope) domains)
+          ~domain_prefixes:customer_prefixes)
+      nms
+
+(* Creates one NM per station, in order, and brings them all up. *)
+let bring_up d =
+  let nms =
+    List.map
+      (fun (station, scope) ->
+        (Nm.create ~transport:d.transport ~chan:d.chan ~net:d.net ~my_id:station (), scope))
+      d.stations
+  in
+  adopt d.net (List.map snd d.agents) d.layout nms;
+  List.map fst nms
+
+let device_ids devices = List.map (fun d -> d.Device.dev_id) devices
 
 (* --- figure 4: the VPN testbed --------------------------------------------- *)
 
@@ -74,132 +197,67 @@ type vpn = {
   ip_handles : (string * Ip_module.handle) list; (* module id -> handle *)
 }
 
-let mref name mid dev = Ids.v name mid dev.Device.dev_id
+let vpn_scope = [ "id-A"; "id-B"; "id-C" ]
+let vpn_goal ?(tradeoffs = default_tradeoffs) () = goal ~tradeoffs vpn_scope
 
-let vpn_goal ?(tradeoffs = [ "in-order-delivery"; "low-error-rate" ]) () =
-  {
-    Path_finder.g_from = Ids.v "ETH" "a" "id-A";
-    g_to = Ids.v "ETH" "f" "id-C";
-    g_customer = "C1";
-    g_src_domain = "C1-S1";
-    g_dst_domain = "C1-S2";
-    g_src_site = "S1";
-    g_dst_site = "S2";
-    g_tradeoffs = tradeoffs;
-    g_scope = [ "id-A"; "id-B"; "id-C" ];
-  }
+(* Figure 4's router A, also the first router of every chain. *)
+let edge_a =
+  [
+    port "a" 0; (* eth1, customer-facing *)
+    port "b" 1; (* eth2, core-facing *)
+    Ip ("g", [ "eth1" ], "C1");
+    Ip ("h", [ "eth2" ], "ISP");
+    Gre "l";
+    Mpls "o";
+  ]
 
-(* The NM-side configuration knowledge of figure 4: which IP module serves
-   which address domain. Shared between the initial build and [vpn_adopt]
-   (a replacement NM re-learning the deployment after a restart). *)
-let vpn_domain_knowledge nm =
-  Topology.set_domains (Nm.topology nm)
-    ~module_domains:
+(* Module layout of figure 4(b); [secure] adds the figure-1 IPsec pair (an
+   ESP data module depending on an IKE control module) at the edges. *)
+let vpn_layout ~secure (tb : Testbeds.vpn) =
+  let sec esp ike = if secure then [ Esp esp; Ike ike ] else [] in
+  [
+    (tb.ra, edge_a @ sec "s" "m");
+    (tb.rb, [ port "c" 0; port "d" 1; Ip ("i", [ "eth1"; "eth2" ], "ISP"); Mpls "p" ]);
+    ( tb.rc,
       [
-        (Ids.v "IP" "g" "id-A", "C1");
-        (Ids.v "IP" "h" "id-A", "ISP");
-        (Ids.v "IP" "i" "id-B", "ISP");
-        (Ids.v "IP" "j" "id-C", "ISP");
-        (Ids.v "IP" "k" "id-C", "C1");
+        port "e" 1; (* eth2, core-facing *)
+        port "f" 0; (* eth1, customer-facing *)
+        Ip ("j", [ "eth2" ], "ISP");
+        Ip ("k", [ "eth1" ], "C1");
+        Gre "n";
+        Mpls "q";
       ]
-    ~domain_prefixes:[ ("C1-S1", "10.0.1.0/24"); ("C1-S2", "10.0.2.0/24") ]
+      @ sec "t" "w" );
+  ]
 
-let build_vpn ?(channel = `Oob) ?(secure = false) ?tradeoffs ?fault_seed ?reliability ?admission
-    ?journal () =
+let build_vpn ?(channel = `Oob) ?(secure = false) ?tradeoffs ?fault_seed () =
   let tb = Testbeds.vpn () in
-  let net = tb.Testbeds.vpn_net in
-  let managed = [ tb.Testbeds.ra; tb.Testbeds.rb; tb.Testbeds.rc ] in
-  let chan, faults, transport, admission, _ =
-    make_channel ?fault_seed ?reliability ?admission channel net ~devices:managed
-      ~attach_to:tb.Testbeds.rb
-  in
-  let ip_handles = ref [] in
-  let setup_device dev specs =
-    let agent = Agent.create ~chan ~nm_device:nm_station_id dev in
-    let env = Agent.env agent in
-    List.iter
-      (fun spec ->
-        match spec with
-        | `Eth (mid, port) ->
-            Agent.register agent
-              (Eth_module.make ~env ~mref:(mref "ETH" mid dev) ~ports:[ port ] ~switching:false
-                 ~neighbours:(eth_neighbours net dev) ())
-        | `Ip (mid, ifaces, domain) ->
-            let impl, handle =
-              Ip_module.make ~env ~mref:(mref "IP" mid dev) ~ifaces ~domain ()
-            in
-            ip_handles := (mid, handle) :: !ip_handles;
-            Agent.register agent impl
-        | `Gre mid -> Agent.register agent (Gre_module.make ~env ~mref:(mref "GRE" mid dev) ())
-        | `Esp mid -> Agent.register agent (Esp_module.make ~env ~mref:(mref "ESP" mid dev) ())
-        | `Ike mid -> Agent.register agent (Ike_module.make ~env ~mref:(mref "IKE" mid dev) ())
-        | `Mpls mid -> Agent.register agent (Mpls_module.make ~env ~mref:(mref "MPLS" mid dev) ()))
-      specs;
-    agent
-  in
-  (* module layout of figure 4(b); [secure] adds the figure-1 IPsec pair
-     (an ESP data module depending on an IKE control module) at the edges *)
-  let sec_a = if secure then [ `Esp "s"; `Ike "m" ] else [] in
-  let sec_c = if secure then [ `Esp "t"; `Ike "w" ] else [] in
-  let agent_a =
-    setup_device tb.Testbeds.ra
-      ([
-         `Eth ("a", 0); (* eth1, customer-facing *)
-         `Eth ("b", 1); (* eth2, core-facing *)
-         `Ip ("g", [ "eth1" ], "C1");
-         `Ip ("h", [ "eth2" ], "ISP");
-         `Gre "l";
-         `Mpls "o";
-       ]
-      @ sec_a)
-  in
-  let agent_b =
-    setup_device tb.Testbeds.rb
-      [ `Eth ("c", 0); `Eth ("d", 1); `Ip ("i", [ "eth1"; "eth2" ], "ISP"); `Mpls "p" ]
-  in
-  let agent_c =
-    setup_device tb.Testbeds.rc
-      ([
-         `Eth ("e", 1); (* eth2, core-facing *)
-         `Eth ("f", 0); (* eth1, customer-facing *)
-         `Ip ("j", [ "eth2" ], "ISP");
-         `Ip ("k", [ "eth1" ], "C1");
-         `Gre "n";
-         `Mpls "q";
-       ]
-      @ sec_c)
-  in
   (* The customer hosts also run management agents with a single IP module
      each, so module-level filter rules can be resolved against them
      (section II-E's example). Only reachable over the out-of-band channel;
      the customer routers run no agents to flood through. *)
-  (if channel = `Oob then begin
-     let host_agent dev mid =
-       let agent = Agent.create ~chan ~nm_device:nm_station_id dev in
-       let env = Agent.env agent in
-       let impl, _ = Ip_module.make ~env ~mref:(mref "IP" mid dev) ~ifaces:[ "eth0" ] ~domain:"C1" () in
-       Agent.register agent impl
-     in
-     host_agent tb.Testbeds.host1 "x";
-     host_agent tb.Testbeds.host2 "y"
-   end);
-  let nm = Nm.create ~transport ?journal ~chan ~net ~my_id:nm_station_id () in
-  List.iter (fun a -> Agent.announce a net) [ agent_a; agent_b; agent_c ];
-  Nm.run nm;
-  let scope = [ "id-A"; "id-B"; "id-C" ] in
-  Nm.harvest_potentials nm scope;
-  vpn_domain_knowledge nm;
+  let hosts =
+    if channel = `Oob then
+      [ (tb.host1, [ Ip ("x", [ "eth0" ], "C1") ]); (tb.host2, [ Ip ("y", [ "eth0" ], "C1") ]) ]
+    else []
+  in
+  let d =
+    deploy ?fault_seed channel tb.vpn_net ~attach_to:tb.rb
+      ~stations:[ (nm_station_id, vpn_scope) ]
+      (vpn_layout ~secure tb @ hosts)
+  in
+  let nm = List.hd (bring_up d) in
   {
     tb;
-    chan;
-    faults;
-    transport;
-    admission;
+    chan = d.chan;
+    faults = d.faults;
+    transport = d.transport;
+    admission = d.admission;
     nm;
     goal = vpn_goal ?tradeoffs ();
-    scope;
-    agents = [ ("A", agent_a); ("B", agent_b); ("C", agent_c) ];
-    ip_handles = !ip_handles;
+    scope = vpn_scope;
+    agents = List.map (fun (dev, a) -> (dev.Device.dev_name, a)) d.agents;
+    ip_handles = d.ip_handles;
   }
 
 let vpn_reachable v = Testbeds.vpn_reachable v.tb
@@ -210,10 +268,8 @@ let vpn_reachable v = Testbeds.vpn_reachable v.tb
    domain knowledge re-entered. The second half of an NM restart; pair it
    with [Nm.recover] to re-converge the journalled intents. *)
 let vpn_adopt v nm =
-  List.iter (fun (_, a) -> Agent.announce a v.tb.Testbeds.vpn_net) v.agents;
-  Nm.run nm;
-  Nm.harvest_potentials nm v.scope;
-  vpn_domain_knowledge nm
+  (* the IPsec modules carry no address domain, so [secure] is immaterial *)
+  adopt v.tb.vpn_net (List.map snd v.agents) (vpn_layout ~secure:false v.tb) [ (nm, v.scope) ]
 
 (* --- generalised n-router chain (Table VI sweep) ------------------------------ *)
 
@@ -228,90 +284,55 @@ type chain = {
   cscope : string list;
 }
 
-let build_chain ?(channel = `Oob) ?(addressed = true)
-    ?(tradeoffs = [ "in-order-delivery"; "low-error-rate" ]) ?fault_seed ?reliability ?admission
-    ?journal n =
-  let tb = Testbeds.chain ~addressed n in
-  let net = tb.Testbeds.chain_net in
-  let routers = Array.to_list tb.Testbeds.routers in
-  let chan, cfaults, ctransport, cadmission, _ =
-    make_channel ?fault_seed ?reliability ?admission channel net ~devices:routers
-      ~attach_to:tb.Testbeds.routers.(0)
-  in
-  let module_domains = ref [] in
-  let setup_device dev specs =
-    let agent = Agent.create ~chan ~nm_device:nm_station_id dev in
-    let env = Agent.env agent in
-    List.iter
-      (fun spec ->
-        match spec with
-        | `Eth (mid, port) ->
-            Agent.register agent
-              (Eth_module.make ~env ~mref:(mref "ETH" mid dev) ~ports:[ port ] ~switching:false
-                 ~neighbours:(eth_neighbours net dev) ())
-        | `Ip (mid, ifaces, domain) ->
-            module_domains := (mref "IP" mid dev, domain) :: !module_domains;
-            let impl, _ = Ip_module.make ~env ~mref:(mref "IP" mid dev) ~ifaces ~domain () in
-            Agent.register agent impl
-        | `Gre mid -> Agent.register agent (Gre_module.make ~env ~mref:(mref "GRE" mid dev) ())
-        | `Mpls mid -> Agent.register agent (Mpls_module.make ~env ~mref:(mref "MPLS" mid dev) ()))
-      specs;
-    agent
-  in
-  let agents =
-    List.mapi
-      (fun idx dev ->
-        if idx = 0 then
-          setup_device dev
-            [
-              `Eth ("a", 0);
-              `Eth ("b", 1);
-              `Ip ("g", [ "eth1" ], "C1");
-              `Ip ("h", [ "eth2" ], "ISP");
-              `Gre "l";
-              `Mpls "o";
-            ]
+(* The figure-4 edges at both ends of an n-router core. *)
+let chain_layout (tb : Testbeds.chain) =
+  let n = Array.length tb.routers in
+  List.mapi
+    (fun idx dev ->
+      let specs =
+        if idx = 0 then edge_a
         else if idx = n - 1 then
-          setup_device dev
-            [
-              `Eth ("e", 0); (* eth1, towards the core *)
-              `Eth ("f", 1); (* eth2, customer-facing *)
-              `Ip ("j", [ "eth1" ], "ISP");
-              `Ip ("k", [ "eth2" ], "C1");
-              `Gre "n";
-              `Mpls "q";
-            ]
+          [
+            port "e" 0; (* eth1, towards the core *)
+            port "f" 1; (* eth2, customer-facing *)
+            Ip ("j", [ "eth1" ], "ISP");
+            Ip ("k", [ "eth2" ], "C1");
+            Gre "n";
+            Mpls "q";
+          ]
         else
-          setup_device dev
-            [
-              `Eth (Printf.sprintf "c%d" (idx + 1), 0);
-              `Eth (Printf.sprintf "d%d" (idx + 1), 1);
-              `Ip (Printf.sprintf "i%d" (idx + 1), [ "eth1"; "eth2" ], "ISP");
-              `Mpls (Printf.sprintf "p%d" (idx + 1));
-            ])
-      routers
+          let id = string_of_int (idx + 1) in
+          [
+            port ("c" ^ id) 0;
+            port ("d" ^ id) 1;
+            Ip ("i" ^ id, [ "eth1"; "eth2" ], "ISP");
+            Mpls ("p" ^ id);
+          ]
+      in
+      (dev, specs))
+    (Array.to_list tb.routers)
+
+let chain_goal (tb : Testbeds.chain) =
+  goal ~tradeoffs:default_tradeoffs (device_ids (Array.to_list tb.routers))
+
+let build_chain ?(addressed = true) n =
+  let tb = Testbeds.chain ~addressed n in
+  let scope = device_ids (Array.to_list tb.routers) in
+  let d =
+    deploy `Oob tb.chain_net ~attach_to:tb.routers.(0) ~stations:[ (nm_station_id, scope) ]
+      (chain_layout tb)
   in
-  let nm = Nm.create ~transport:ctransport ?journal ~chan ~net ~my_id:nm_station_id () in
-  List.iter (fun a -> Agent.announce a net) agents;
-  Nm.run nm;
-  let scope = List.map (fun d -> d.Device.dev_id) routers in
-  Nm.harvest_potentials nm scope;
-  Topology.set_domains (Nm.topology nm) ~module_domains:!module_domains
-    ~domain_prefixes:[ ("C1-S1", "10.0.1.0/24"); ("C1-S2", "10.0.2.0/24") ];
-  let goal =
-    {
-      Path_finder.g_from = Ids.v "ETH" "a" "id-R1";
-      g_to = Ids.v "ETH" "f" (Printf.sprintf "id-R%d" n);
-      g_customer = "C1";
-      g_src_domain = "C1-S1";
-      g_dst_domain = "C1-S2";
-      g_src_site = "S1";
-      g_dst_site = "S2";
-      g_tradeoffs = tradeoffs;
-      g_scope = scope;
-    }
-  in
-  { ctb = tb; cchan = chan; cfaults; ctransport; cadmission; cnm = nm; cgoal = goal; cscope = scope }
+  let nm = List.hd (bring_up d) in
+  {
+    ctb = tb;
+    cchan = d.chan;
+    cfaults = d.faults;
+    ctransport = d.transport;
+    cadmission = d.admission;
+    cnm = nm;
+    cgoal = chain_goal tb;
+    cscope = scope;
+  }
 
 let chain_reachable c = Testbeds.chain_reachable c.ctb
 
@@ -329,111 +350,58 @@ type diamond = {
   dagents : (string * Agent.t) list; (* device id -> agent *)
 }
 
-let build_diamond ?(channel = `Oob) ?fault_seed ?reliability ?admission ?journal () =
+let diamond_layout (tb : Testbeds.diamond) =
+  [
+    ( tb.dia_a,
+      [
+        port "a" 0;
+        port "b1" 1;
+        port "b2" 2;
+        Ip ("g", [ "eth1" ], "C1");
+        Ip ("h", [ "eth2"; "eth3" ], "ISP");
+        Gre "l";
+        Mpls "o";
+      ] );
+    (tb.dia_b1, [ port "c1" 0; port "d1" 1; Ip ("i1", [ "eth1"; "eth2" ], "ISP"); Mpls "p1" ]);
+    (tb.dia_b2, [ port "c2" 0; port "d2" 1; Ip ("i2", [ "eth1"; "eth2" ], "ISP"); Mpls "p2" ]);
+    ( tb.dia_c,
+      [
+        port "e1" 0;
+        port "e2" 1;
+        port "f" 2;
+        Ip ("j", [ "eth1"; "eth2" ], "ISP");
+        Ip ("k", [ "eth3" ], "C1");
+        Gre "n";
+        Mpls "q";
+      ] );
+  ]
+
+let build_diamond ?fault_seed () =
   let tb = Testbeds.diamond () in
-  let net = tb.Testbeds.dia_net in
-  let managed = [ tb.Testbeds.dia_a; tb.Testbeds.dia_b1; tb.Testbeds.dia_b2; tb.Testbeds.dia_c ] in
-  let chan, dfaults, dtransport, dadmission, _ =
-    make_channel ?fault_seed ?reliability ?admission channel net ~devices:managed
-      ~attach_to:tb.Testbeds.dia_a
+  let layout = diamond_layout tb in
+  let scope = device_ids (List.map fst layout) in
+  let d =
+    deploy ?fault_seed `Oob tb.dia_net ~attach_to:tb.dia_a
+      ~stations:[ (nm_station_id, scope) ]
+      layout
   in
-  let module_domains = ref [] in
-  let setup dev specs =
-    let agent = Agent.create ~chan ~nm_device:nm_station_id dev in
-    let env = Agent.env agent in
-    List.iter
-      (fun spec ->
-        match spec with
-        | `Eth (mid, port) ->
-            Agent.register agent
-              (Eth_module.make ~env ~mref:(mref "ETH" mid dev) ~ports:[ port ] ~switching:false
-                 ~neighbours:(eth_neighbours net dev) ())
-        | `Ip (mid, ifaces, domain) ->
-            module_domains := (mref "IP" mid dev, domain) :: !module_domains;
-            let impl, _ = Ip_module.make ~env ~mref:(mref "IP" mid dev) ~ifaces ~domain () in
-            Agent.register agent impl
-        | `Gre mid -> Agent.register agent (Gre_module.make ~env ~mref:(mref "GRE" mid dev) ())
-        | `Mpls mid -> Agent.register agent (Mpls_module.make ~env ~mref:(mref "MPLS" mid dev) ()))
-      specs;
-    agent
-  in
-  let agents =
-    [
-      setup tb.Testbeds.dia_a
-        [
-          `Eth ("a", 0);
-          `Eth ("b1", 1);
-          `Eth ("b2", 2);
-          `Ip ("g", [ "eth1" ], "C1");
-          `Ip ("h", [ "eth2"; "eth3" ], "ISP");
-          `Gre "l";
-          `Mpls "o";
-        ];
-      setup tb.Testbeds.dia_b1
-        [ `Eth ("c1", 0); `Eth ("d1", 1); `Ip ("i1", [ "eth1"; "eth2" ], "ISP"); `Mpls "p1" ];
-      setup tb.Testbeds.dia_b2
-        [ `Eth ("c2", 0); `Eth ("d2", 1); `Ip ("i2", [ "eth1"; "eth2" ], "ISP"); `Mpls "p2" ];
-      setup tb.Testbeds.dia_c
-        [
-          `Eth ("e1", 0);
-          `Eth ("e2", 1);
-          `Eth ("f", 2);
-          `Ip ("j", [ "eth1"; "eth2" ], "ISP");
-          `Ip ("k", [ "eth3" ], "C1");
-          `Gre "n";
-          `Mpls "q";
-        ];
-    ]
-  in
-  let nm = Nm.create ~transport:dtransport ?journal ~chan ~net ~my_id:nm_station_id () in
-  List.iter (fun a -> Agent.announce a net) agents;
-  Nm.run nm;
-  let scope = [ "id-A"; "id-B1"; "id-B2"; "id-C" ] in
-  Nm.harvest_potentials nm scope;
-  Topology.set_domains (Nm.topology nm) ~module_domains:!module_domains
-    ~domain_prefixes:[ ("C1-S1", "10.0.1.0/24"); ("C1-S2", "10.0.2.0/24") ];
-  let goal =
-    {
-      Path_finder.g_from = Ids.v "ETH" "a" "id-A";
-      g_to = Ids.v "ETH" "f" "id-C";
-      g_customer = "C1";
-      g_src_domain = "C1-S1";
-      g_dst_domain = "C1-S2";
-      g_src_site = "S1";
-      g_dst_site = "S2";
-      g_tradeoffs = [ "in-order-delivery"; "low-error-rate" ];
-      g_scope = scope;
-    }
-  in
+  let nm = List.hd (bring_up d) in
   {
     dtb = tb;
-    dchan = chan;
-    dfaults;
-    dtransport;
-    dadmission;
+    dchan = d.chan;
+    dfaults = d.faults;
+    dtransport = d.transport;
+    dadmission = d.admission;
     dnm = nm;
-    dgoal = goal;
+    dgoal = goal ~tradeoffs:default_tradeoffs scope;
     dscope = scope;
-    dagents = List.combine scope agents;
+    dagents = List.map (fun (dev, a) -> (dev.Device.dev_id, a)) d.agents;
   }
 
 let diamond_reachable d = Testbeds.diamond_reachable d.dtb
 
 let diamond_adopt d nm =
-  List.iter (fun (_, a) -> Agent.announce a d.dtb.Testbeds.dia_net) d.dagents;
-  Nm.run nm;
-  Nm.harvest_potentials nm d.dscope;
-  Topology.set_domains (Nm.topology nm)
-    ~module_domains:
-      [
-        (Ids.v "IP" "g" "id-A", "C1");
-        (Ids.v "IP" "h" "id-A", "ISP");
-        (Ids.v "IP" "i1" "id-B1", "ISP");
-        (Ids.v "IP" "i2" "id-B2", "ISP");
-        (Ids.v "IP" "j" "id-C", "ISP");
-        (Ids.v "IP" "k" "id-C", "C1");
-      ]
-    ~domain_prefixes:[ ("C1-S1", "10.0.1.0/24"); ("C1-S2", "10.0.2.0/24") ]
+  adopt d.dtb.dia_net (List.map snd d.dagents) (diamond_layout d.dtb) [ (nm, d.dscope) ]
 
 (* Path classification helpers for picking the pure-GRE/MPLS/IP-IP paths out
    of the enumeration. *)
@@ -462,40 +430,29 @@ type vlan = {
   vagents : (string * Agent.t) list;
 }
 
-let build_vlan ?(channel = `Oob) ?fault_seed ?reliability () =
+let build_vlan ?(channel = `Oob) () =
   let tb = Testbeds.vlan () in
-  let net = tb.Testbeds.vlan_net in
-  let switches = [ tb.Testbeds.swa; tb.Testbeds.swb; tb.Testbeds.swc ] in
-  let chan, vfaults, vtransport, vadmission, _ =
-    make_channel ?fault_seed ?reliability channel net ~devices:switches ~attach_to:tb.Testbeds.swb
+  let layout =
+    [
+      (tb.swa, [ switch_eth "a" tb.swa; Vlan "d" ]);
+      (tb.swb, [ switch_eth "b" tb.swb; Vlan "e" ]);
+      (tb.swc, [ switch_eth "c" tb.swc; Vlan "f" ]);
+    ]
   in
-  let setup sw (eth_mid, vlan_mid) =
-    let agent = Agent.create ~chan ~nm_device:nm_station_id sw in
-    let env = Agent.env agent in
-    let ports = List.init (Array.length sw.Device.ports) Fun.id in
-    Agent.register agent
-      (Eth_module.make ~env ~mref:(mref "ETH" eth_mid sw) ~ports ~switching:true
-         ~neighbours:(eth_neighbours net sw) ());
-    Agent.register agent (Vlan_module.make ~env ~mref:(mref "VLAN" vlan_mid sw) ());
-    agent
+  let scope = device_ids (List.map fst layout) in
+  let d =
+    deploy channel tb.vlan_net ~attach_to:tb.swb ~stations:[ (nm_station_id, scope) ] layout
   in
-  let agent_a = setup tb.Testbeds.swa ("a", "d") in
-  let agent_b = setup tb.Testbeds.swb ("b", "e") in
-  let agent_c = setup tb.Testbeds.swc ("c", "f") in
-  let nm = Nm.create ~transport:vtransport ~chan ~net ~my_id:nm_station_id () in
-  List.iter (fun a -> Agent.announce a net) [ agent_a; agent_b; agent_c ];
-  Nm.run nm;
-  let scope = [ "id-SwA"; "id-SwB"; "id-SwC" ] in
-  Nm.harvest_potentials nm scope;
+  let nm = List.hd (bring_up d) in
   {
     vtb = tb;
-    vchan = chan;
-    vfaults;
-    vtransport;
-    vadmission;
+    vchan = d.chan;
+    vfaults = d.faults;
+    vtransport = d.transport;
+    vadmission = d.admission;
     vnm = nm;
     vscope = scope;
-    vagents = [ ("SwA", agent_a); ("SwB", agent_b); ("SwC", agent_c) ];
+    vagents = List.map (fun (dev, a) -> (dev.Device.dev_name, a)) d.agents;
   }
 
 let vlan_reachable v = Testbeds.vlan_reachable v.vtb
@@ -511,33 +468,28 @@ type vlan_chain = {
   vcscope : string list;
 }
 
-let build_vlan_chain ?(channel = `Oob) ?fault_seed ?reliability n =
+let build_vlan_chain n =
   let tb = Testbeds.vlan_chain n in
-  let net = tb.Testbeds.vc_net in
-  let switches = Array.to_list tb.Testbeds.switches in
-  let chan, vcfaults, vctransport, vcadmission, _ =
-    make_channel ?fault_seed ?reliability channel net ~devices:switches
-      ~attach_to:tb.Testbeds.switches.(0)
-  in
-  let agents =
+  let layout =
     List.mapi
       (fun idx sw ->
-        let agent = Agent.create ~chan ~nm_device:nm_station_id sw in
-        let env = Agent.env agent in
-        let ports = List.init (Array.length sw.Device.ports) Fun.id in
-        let suffix = string_of_int (idx + 1) in
-        Agent.register agent
-          (Eth_module.make ~env ~mref:(mref "ETH" ("eth" ^ suffix) sw) ~ports ~switching:true
-             ~neighbours:(eth_neighbours net sw) ());
-        Agent.register agent (Vlan_module.make ~env ~mref:(mref "VLAN" ("vl" ^ suffix) sw) ());
-        agent)
-      switches
+        let id = string_of_int (idx + 1) in
+        (sw, [ switch_eth ("eth" ^ id) sw; Vlan ("vl" ^ id) ]))
+      (Array.to_list tb.switches)
   in
-  let nm = Nm.create ~transport:vctransport ~chan ~net ~my_id:nm_station_id () in
-  List.iter (fun a -> Agent.announce a net) agents;
-  Nm.run nm;
-  let scope = List.map (fun d -> d.Device.dev_id) switches in
-  Nm.harvest_potentials nm scope;
-  { vctb = tb; vcchan = chan; vcfaults; vctransport; vcadmission; vcnm = nm; vcscope = scope }
+  let scope = device_ids (List.map fst layout) in
+  let d =
+    deploy `Oob tb.vc_net ~attach_to:tb.switches.(0) ~stations:[ (nm_station_id, scope) ] layout
+  in
+  let nm = List.hd (bring_up d) in
+  {
+    vctb = tb;
+    vcchan = d.chan;
+    vcfaults = d.faults;
+    vctransport = d.transport;
+    vcadmission = d.admission;
+    vcnm = nm;
+    vcscope = scope;
+  }
 
 let vlan_chain_reachable v = Testbeds.vlan_chain_reachable v.vctb

@@ -13,27 +13,56 @@ type channel_kind = [ `Oob | `Raw ]
 (** Pre-configured out-of-band channel, or the 4D-style raw in-band
     flooding channel (§III-A). *)
 
-val make_channel :
+(** {1 Deployments}
+
+    Every builder below declares its testbed's module layout as data,
+    {!deploy}s it and brings its NM up with {!bring_up}. *)
+
+type layout
+(** Per managed device, the protocol modules its agent exposes. *)
+
+val chain_layout : Netsim.Testbeds.chain -> layout
+(** The module layout of {!build_chain}: the figure-4 edge routers at both
+    ends of the chain, an IP + MPLS core router in between. *)
+
+val chain_goal : Netsim.Testbeds.chain -> Path_finder.goal
+(** {!build_chain}'s goal: connect S1 and S2 of customer C1 across every
+    router of the chain. *)
+
+type deployment = {
+  net : Netsim.Net.t;
+  chan : Mgmt.Channel.t;
+  faults : Mgmt.Faults.t;
+  transport : Mgmt.Reliable.t;
+  admission : Mgmt.Admission.t;
+  stations : (string * string list) list;  (** NM station id -> its scope (device ids) *)
+  layout : layout;
+  agents : (Netsim.Device.t * Agent.t) list;  (** agents of in-scope devices, layout order *)
+  ip_handles : (string * Ip_module.handle) list;  (** IP module id -> handle *)
+}
+
+val deploy :
   ?fault_seed:int ->
-  ?reliability:Mgmt.Reliable.config ->
-  ?admission:Mgmt.Admission.config ->
   channel_kind ->
   Netsim.Net.t ->
-  devices:Netsim.Device.t list ->
   attach_to:Netsim.Device.t ->
-  Mgmt.Channel.t * Mgmt.Faults.t * Mgmt.Reliable.t * Mgmt.Admission.t * Netsim.Device.t option
-(** The full management-channel stack (base, faults, reliable delivery,
-    overload admission) every builder here uses — exported so other
-    deployment builders (e.g. the federated two-domain one) wire the same
-    stack. For [`Raw] a management-station device is created and cabled to
-    [attach_to]; [`Oob] ignores [devices]/[attach_to]. *)
+  stations:(string * string list) list ->
+  layout ->
+  deployment
+(** Builds the management-channel stack (base channel, fault injection
+    seeded by [fault_seed], default 42, reliable delivery, overload
+    admission), then one agent per layout entry, homed to the station
+    whose scope holds the device, with the entry's modules registered in
+    order. For [`Raw] a management-station device is created and cabled to
+    [attach_to]. A device in no station's scope still gets an agent (homed
+    to the first station) but is left out of [agents] and never
+    announced. *)
 
-val eth_neighbours : Netsim.Net.t -> Netsim.Device.t -> int -> (string * string) list
-(** Physical neighbours of a device's port, as (device id, peer port name)
-    — the shape {!Eth_module.make} wants for Hello reporting. *)
-
-val mref : string -> string -> Netsim.Device.t -> Ids.t
-(** [mref name short dev] is the module reference [name:short\@dev]. *)
+val bring_up : deployment -> Nm.t list
+(** Creates one NM per station, in order, then runs discovery: every
+    in-scope agent announces, each NM harvests the potentials of its scope
+    and learns the address domains of its scope's IP modules (derived from
+    the layout) plus the customer prefix map. *)
 
 (** {1 Figure 4: the VPN testbed} *)
 
@@ -55,19 +84,16 @@ val build_vpn :
   ?secure:bool ->
   ?tradeoffs:string list ->
   ?fault_seed:int ->
-  ?reliability:Mgmt.Reliable.config ->
-  ?admission:Mgmt.Admission.config ->
-  ?journal:Intent.journal ->
   unit ->
   vpn
-(** [secure:true] additionally registers the figure-1 IPsec pair on the
-    edge routers: ESP data modules whose "esp-keys" dependency is satisfied
-    by IKE control modules (§II-F). [fault_seed] (default 42) seeds the
-    fault-injection layer — a no-op until knobs on [faults] are turned;
-    [reliability] overrides {!Mgmt.Reliable.default_config}; [admission]
-    overrides {!Mgmt.Admission.default_config} (tightening the overload
-    budget); [journal] seeds the NM's intent journal (an NM restarting from
-    stable storage). All apply to the other builders below too. *)
+(** [channel] defaults to [`Oob]; only then do the customer hosts get
+    (never announced) agents too. [secure:true] additionally registers the
+    figure-1 IPsec pair on the edge routers: ESP data modules whose
+    "esp-keys" dependency is satisfied by IKE control modules (§II-F).
+    [tradeoffs] overrides the goal's default
+    ["in-order-delivery"; "low-error-rate"]. [fault_seed] (default 42)
+    seeds the fault-injection layer — a no-op until knobs on [faults] are
+    turned. *)
 
 val vpn_goal : ?tradeoffs:string list -> unit -> Path_finder.goal
 
@@ -77,8 +103,8 @@ val vpn_reachable : vpn -> bool
 val vpn_adopt : vpn -> Nm.t -> unit
 (** Points a replacement NM (e.g. one created from a saved
     {!Intent.journal}) at the same deployment: re-announces every agent,
-    harvests potentials and re-enters the operator's domain knowledge.
-    Follow with {!Nm.recover} to re-converge the journalled intents. *)
+    harvests potentials and re-enters the domain knowledge derived from
+    the figure-4 layout, as {!build_vpn} does. Follow with {!Nm.recover} to re-converge the journalled intents. *)
 
 (** {1 n-router chains (the Table-VI sweep)} *)
 
@@ -93,18 +119,11 @@ type chain = {
   cscope : string list;
 }
 
-val build_chain :
-  ?channel:channel_kind ->
-  ?addressed:bool ->
-  ?tradeoffs:string list ->
-  ?fault_seed:int ->
-  ?reliability:Mgmt.Reliable.config ->
-  ?admission:Mgmt.Admission.config ->
-  ?journal:Intent.journal ->
-  int ->
-  chain
-(** [addressed:false] leaves the ISP routers without addresses: the NM is
-    expected to assign them via {!Nm.assign_address}. *)
+val build_chain : ?addressed:bool -> int -> chain
+(** [build_chain n] deploys {!chain_layout} over [Netsim.Testbeds.chain n]
+    on the out-of-band channel. [addressed:false] leaves the ISP
+    routers without addresses: the NM is expected to assign them via
+    {!Nm.assign_address}. *)
 
 val chain_reachable : chain -> bool
 
@@ -122,14 +141,9 @@ type diamond = {
   dagents : (string * Agent.t) list; (** device id -> agent *)
 }
 
-val build_diamond :
-  ?channel:channel_kind ->
-  ?fault_seed:int ->
-  ?reliability:Mgmt.Reliable.config ->
-  ?admission:Mgmt.Admission.config ->
-  ?journal:Intent.journal ->
-  unit ->
-  diamond
+val build_diamond : ?fault_seed:int -> unit -> diamond
+(** Out-of-band channel; [fault_seed] as for {!build_vpn}. *)
+
 val diamond_reachable : diamond -> bool
 
 val diamond_adopt : diamond -> Nm.t -> unit
@@ -156,8 +170,9 @@ type vlan = {
   vagents : (string * Agent.t) list;
 }
 
-val build_vlan :
-  ?channel:channel_kind -> ?fault_seed:int -> ?reliability:Mgmt.Reliable.config -> unit -> vlan
+val build_vlan : ?channel:channel_kind -> unit -> vlan
+(** [channel] defaults to [`Oob]. Switches carry no address domains. *)
+
 val vlan_reachable : vlan -> bool
 
 type vlan_chain = {
@@ -170,6 +185,7 @@ type vlan_chain = {
   vcscope : string list;
 }
 
-val build_vlan_chain :
-  ?channel:channel_kind -> ?fault_seed:int -> ?reliability:Mgmt.Reliable.config -> int -> vlan_chain
+val build_vlan_chain : int -> vlan_chain
+(** [build_vlan_chain n]: [n] switches on the out-of-band channel. *)
+
 val vlan_chain_reachable : vlan_chain -> bool

@@ -25,20 +25,14 @@ type two_domain = {
   fagents : (string * Agent.t) list;  (** device id -> agent *)
 }
 
-val build_two_domain :
-  ?tradeoffs:string list ->
-  ?fault_seed:int ->
-  ?reliability:Mgmt.Reliable.config ->
-  ?admission:Mgmt.Admission.config ->
-  ?split:int ->
-  int ->
-  two_domain
-(** [build_two_domain n] builds the n-router chain with routers
-    [0..split-1] owned by the west NM and the rest by the east NM
-    ([split] defaults to [n/2]). Each agent is homed to its domain's
-    station; each NM discovers, harvests and holds module-domain
-    knowledge for its own devices only. Domain adverts have already been
-    exchanged on return. *)
+val build_two_domain : ?fault_seed:int -> int -> two_domain
+(** [build_two_domain n] deploys {!Conman.Scenarios.chain_layout} over the
+    n-router chain with routers [0..n/2-1] owned by the west NM and the
+    rest by the east NM. Each agent is homed to its domain's station; each
+    NM discovers, harvests and holds module-domain knowledge for its own
+    devices only. [fault_seed] (default 42) seeds the shared channel's
+    fault-injection layer. Domain adverts have already been exchanged on
+    return. *)
 
 val two_domain_reachable : two_domain -> bool
 (** Bidirectional reachability between the chain's customer edges. *)

@@ -110,13 +110,16 @@ type chain = {
 }
 
 (* Router [i] and [i+1] are linked on 204.9.(100+i).0/30 with the left end
-   at .1; edge addressing mirrors the 3-router testbed. With
+   at .1, so an addressed chain holds at most 157 routers (the last core
+   link is 204.9.255.0/30); edge addressing mirrors the 3-router testbed. With
    [addressed:false] the ISP routers get no addresses and no static routes:
    the NM is expected to assign them (§II-E: "this is best done by the NM
    having explicit knowledge of how to assign IP addresses, as DHCP servers
    do today"). *)
 let chain ?(addressed = true) n =
   if n < 2 then invalid_arg "Testbeds.chain: need at least 2 routers";
+  if addressed && n > 157 then
+    invalid_arg "Testbeds.chain: at most 157 addressed routers (core links are 204.9.(100+i).0/30)";
   let net = Net.create () in
   let router ?(ports = [ "eth1"; "eth2" ]) ?(forwarding = false) name =
     let d = Net.add_device net ~id:("id-" ^ name) ~name in

@@ -214,6 +214,23 @@ let test_foreign_slice_refused () =
   check (Alcotest.list Alcotest.string) "the west device is untouched" before
     (structural_keys nm_w "id-R1")
 
+(* --- per-domain knowledge partitions the single-NM knowledge -------------------- *)
+
+let test_domain_maps_partition_chain () =
+  let t = Federation.Fed_scenarios.build_two_domain 4 in
+  let c = Scenarios.build_chain 4 in
+  let md nm = (Nm.topology nm).Topology.module_domains in
+  let west = md (Federation.Fed.nm t.Federation.Fed_scenarios.fwest) in
+  let east = md (Federation.Fed.nm t.Federation.Fed_scenarios.feast) in
+  let owned devices = List.for_all (fun ((m : Ids.t), _) -> List.mem m.Ids.dev devices) in
+  check tbool "west knows only west modules" true
+    (west <> [] && owned t.Federation.Fed_scenarios.fwest_devices west);
+  check tbool "east knows only east modules" true
+    (east <> [] && owned t.Federation.Fed_scenarios.feast_devices east);
+  let render l = List.sort compare (List.map (fun (m, d) -> Ids.to_string m ^ "=" ^ d) l) in
+  check (Alcotest.list Alcotest.string) "west + east = single-NM map" (render (md c.Scenarios.cnm))
+    (render (west @ east))
+
 let () =
   Alcotest.run "federation"
     [
@@ -229,5 +246,7 @@ let () =
             test_backout_on_peer_crash;
           Alcotest.test_case "a slice naming a foreign device is refused" `Quick
             test_foreign_slice_refused;
+          Alcotest.test_case "west and east domain maps partition the chain's" `Quick
+            test_domain_maps_partition_chain;
         ] );
     ]

@@ -400,6 +400,18 @@ let test_vlan_mtu () =
   check tbool "exactly fits" true
     (Ping.reachable ~payload:big net ~from:h1 ~src:(ip "10.0.0.1") ~dst:(ip "10.0.0.2") ())
 
+(* Core link i is 204.9.(100+i).0/30, so 157 addressed routers is the
+   largest chain; one more must be refused by name, not by the address
+   parser. *)
+let test_chain_size_ceiling () =
+  let tb = Testbeds.chain 157 in
+  check tint "157 routers" 157 (Array.length tb.Testbeds.routers);
+  match Testbeds.chain 158 with
+  | _ -> Alcotest.fail "a 158-router chain must be refused"
+  | exception Invalid_argument msg ->
+      check Alcotest.string "names the limit"
+        "Testbeds.chain: at most 157 addressed routers (core links are 204.9.(100+i).0/30)" msg
+
 let () =
   Alcotest.run "netsim"
     [
@@ -435,4 +447,5 @@ let () =
           Alcotest.test_case "vlan isolation" `Quick test_vlan_isolation;
           Alcotest.test_case "vlan mtu" `Quick test_vlan_mtu;
         ] );
+      ("testbeds", [ Alcotest.test_case "chain size ceiling" `Quick test_chain_size_ceiling ]);
     ]

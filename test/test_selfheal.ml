@@ -300,6 +300,53 @@ let test_teardown_retires_intent () =
   in
   check tint "retired intents are not replayed" 0 (List.length (Nm.intents nm2))
 
+(* --- adopt re-enters the domain knowledge the builder derived ------------------- *)
+
+let chosen_signature nm goal =
+  let topo = Nm.topology nm in
+  match Path_finder.choose topo (Path_finder.find topo goal) with
+  | Some p -> Path_finder.signature p
+  | None -> Alcotest.fail "no path chosen"
+
+(* A replacement NM after [adopt] must hold the builder NM's address domain
+   for every IP module in scope and pick the same path for the goal. *)
+let check_adopted ~ip_modules nm nm2 scope goal =
+  let ips =
+    List.concat_map
+      (fun dev ->
+        List.filter_map
+          (fun ((m : Ids.t), _) -> if m.Ids.name = "IP" then Some m else None)
+          (Topology.modules_of_device (Nm.topology nm) dev))
+      scope
+  in
+  check tint "IP modules in scope" ip_modules (List.length ips);
+  List.iter
+    (fun m ->
+      let dom = Topology.domain_of (Nm.topology nm) m in
+      check tbool ("builder knows the domain of " ^ Ids.to_string m) true (dom <> None);
+      check Alcotest.(option string) ("same domain of " ^ Ids.to_string m) dom
+        (Topology.domain_of (Nm.topology nm2) m))
+    ips;
+  check Alcotest.string "same chosen path" (chosen_signature nm goal) (chosen_signature nm2 goal)
+
+let test_vpn_adopt_derived_domains () =
+  let v = Scenarios.build_vpn () in
+  let nm2 =
+    Nm.create ~transport:v.Scenarios.transport ~chan:v.Scenarios.chan
+      ~net:v.Scenarios.tb.Netsim.Testbeds.vpn_net ~my_id:Scenarios.nm_station_id ()
+  in
+  Scenarios.vpn_adopt v nm2;
+  check_adopted ~ip_modules:5 v.Scenarios.nm nm2 v.Scenarios.scope v.Scenarios.goal
+
+let test_diamond_adopt_derived_domains () =
+  let d = Scenarios.build_diamond () in
+  let nm2 =
+    Nm.create ~transport:d.Scenarios.dtransport ~chan:d.Scenarios.dchan
+      ~net:d.Scenarios.dtb.Netsim.Testbeds.dia_net ~my_id:Scenarios.nm_station_id ()
+  in
+  Scenarios.diamond_adopt d nm2;
+  check_adopted ~ip_modules:6 d.Scenarios.dnm nm2 d.Scenarios.dscope d.Scenarios.dgoal
+
 let () =
   Alcotest.run "selfheal"
     [
@@ -319,5 +366,8 @@ let () =
         [
           Alcotest.test_case "crash mid-achieve" `Quick test_restart_from_journal_mid_achieve;
           Alcotest.test_case "restart after commit" `Quick test_restart_from_journal_committed;
+          Alcotest.test_case "vpn adopt re-derives domains" `Quick test_vpn_adopt_derived_domains;
+          Alcotest.test_case "diamond adopt re-derives domains" `Quick
+            test_diamond_adopt_derived_domains;
         ] );
     ]
