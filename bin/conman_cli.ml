@@ -292,11 +292,10 @@ let diagnose fault rounds =
   (match Telemetry.diagnose_path tel path with
   | [] -> Fmt.pr "  (nothing to report)@."
   | ds -> List.iter (fun d -> Fmt.pr "  @[<v>%a@]@." Diagnose.pp_diagnosis d) ds);
-  let c = Mgmt.Faults.counters v.Scenarios.faults in
+  let c k = List.assoc k (Mgmt.Faults.obs_counters v.Scenarios.faults) in
   Fmt.pr "@.management-channel fault counters:@.";
   Fmt.pr "  dropped=%d duplicated=%d delayed=%d crash-drops=%d partition-drops=%d@."
-    c.Mgmt.Faults.dropped c.Mgmt.Faults.duplicated c.Mgmt.Faults.delayed
-    c.Mgmt.Faults.crash_drops c.Mgmt.Faults.partition_drops;
+    (c "dropped") (c "duplicated") (c "delayed") (c "crash_drops") (c "partition_drops");
   (* bounded rings drop silently under pressure; a diagnosis that ignores
      how much evidence was lost can be confidently wrong *)
   Fmt.pr "@.ring-buffer drops (evidence silently discarded):@.";

@@ -98,10 +98,9 @@ let scope_keys nm scope =
     scope
 
 let render_counters faults =
-  let c = Mgmt.Faults.counters faults in
-  Printf.sprintf "mgmt[dropped=%d duplicated=%d delayed=%d crash=%d partition=%d]"
-    c.Mgmt.Faults.dropped c.Mgmt.Faults.duplicated c.Mgmt.Faults.delayed
-    c.Mgmt.Faults.crash_drops c.Mgmt.Faults.partition_drops
+  let c k = List.assoc k (Mgmt.Faults.obs_counters faults) in
+  Printf.sprintf "mgmt[dropped=%d duplicated=%d delayed=%d crash=%d partition=%d]" (c "dropped")
+    (c "duplicated") (c "delayed") (c "crash_drops") (c "partition_drops")
 
 let ms_ns ms = Int64.mul (Int64.of_int ms) 1_000_000L
 let interval_ns = Monitor.default_config.Monitor.interval_ns
@@ -506,7 +505,8 @@ let run ?oscillation_bound (sched : Schedule.t) =
   in
   (* HA accounting and invariants, computed before the stale-state teardown
      mutates the intent set *)
-  let failovers = Ha.promotions ha_p + Ha.promotions ha_s in
+  let ha_sum k = List.assoc k (Ha.obs_counters ha_p) + List.assoc k (Ha.obs_counters ha_s) in
+  let failovers = ha_sum "promotions" in
   let final_epoch = max (Ha.epoch ha_p) (Ha.epoch ha_s) in
   let detection_ticks =
     match !first_crash_tick with
@@ -669,7 +669,7 @@ let run ?oscillation_bound (sched : Schedule.t) =
         {
           failovers;
           detection_ticks;
-          replayed = Ha.replayed ha_p + Ha.replayed ha_s;
+          replayed = ha_sum "replayed";
           split_brain_count = !split_brain;
           lost_intents = List.length lost_intents;
           final_epoch;

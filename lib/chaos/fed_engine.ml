@@ -169,7 +169,10 @@ let run (sched : Schedule.t) =
   let mismatched =
     List.filter (fun (d, keys) -> keys <> List.assoc d configured) finals
   in
-  let fw = Nm.foreign_writes (Fed.nm t.Fs.fwest) + Nm.foreign_writes (Fed.nm t.Fs.feast) in
+  let snap = Obs.Registry.snapshot (Observe.registry obs) in
+  let count k = List.assoc k snap in
+  let both_fed k = count ("fed_west." ^ k) + count ("fed_east." ^ k) in
+  let fw = count "west_nm.foreign_writes" + count "east_nm.foreign_writes" in
   let v_convergence =
     match converged with
     | Some tk ->
@@ -185,7 +188,7 @@ let run (sched : Schedule.t) =
           detail =
             Printf.sprintf "goal not achieved after %d tail ticks (reachable=%b replans=%d)"
               sched.Schedule.tail (Fs.two_domain_reachable t)
-              (Fed.replans t.Fs.fwest);
+              (count "fed_west.replans");
         }
   in
   let v_half =
@@ -225,11 +228,11 @@ let run (sched : Schedule.t) =
     ~phase_keys:[ "fed.plan_ticks"; "fed.commit_ticks"; "fed.abort_ticks" ]
     [ v_convergence; v_half; v_boundary; v_parity ]
     {
-      replans = Fed.replans t.Fs.fwest;
-      backouts = Fed.backouts t.Fs.fwest;
-      relays = Fed.relays t.Fs.fwest + Fed.relays t.Fs.feast;
+      replans = count "fed_west.replans";
+      backouts = count "fed_west.backouts";
+      relays = both_fed "relays";
       foreign_writes = fw;
       half_configured = List.length half;
-      commits_received = Fed.commits_received t.Fs.feast + Fed.commits_received t.Fs.fwest;
-      aborts_received = Fed.aborts_received t.Fs.feast + Fed.aborts_received t.Fs.fwest;
+      commits_received = both_fed "commits_in";
+      aborts_received = both_fed "aborts_in";
     }

@@ -344,6 +344,3 @@ let obs_counters t =
 let modules t = t.modules
 let nm_device t = t.nm_device
 let nm_epoch t = t.nm_epoch
-let fenced_rejects t = t.fenced_rejects
-let takeover_rejects t = t.takeover_rejects
-let malformed_drops t = t.malformed_drops

@@ -42,16 +42,6 @@ val nm_device : t -> string
 val nm_epoch : t -> int
 (** Leadership epoch of the NM in charge; 0 until a fenced leader appears. *)
 
-val fenced_rejects : t -> int
-(** Frames dropped because they carried a lower epoch than [nm_epoch]. *)
-
-val takeover_rejects : t -> int
-(** Takeover announcements dropped for not being strictly newer. *)
-
-val malformed_drops : t -> int
-(** Undecodable frames dropped instead of raising out of the channel
-    handler (corruption, fuzzing, buggy peers). *)
-
 (** {2 Tracing and metrics (see {!Obs})} *)
 
 val set_obs : t -> Obs.Trace.t -> unit
@@ -63,5 +53,10 @@ val set_obs : t -> Obs.Trace.t -> unit
     the execution provokes, carry the goal context back on the wire. *)
 
 val obs_counters : t -> (string * int) list
-(** The agent's drop counters in registry-source form
-    ([fenced_rejects], [takeover_rejects], [malformed_drops]). *)
+(** The agent's drop counters in registry-source form:
+    - [fenced_rejects]: frames dropped for carrying a lower epoch than
+      {!nm_epoch};
+    - [takeover_rejects]: takeover announcements dropped for not being
+      strictly newer;
+    - [malformed_drops]: undecodable frames dropped instead of raising out
+      of the channel handler (corruption, fuzzing, buggy peers). *)

@@ -360,13 +360,6 @@ let role t = t.role
 let epoch t = t.epoch
 let is_alive t = t.alive
 let nm t = t.nm
-let promotions t = t.stats.promotions
-let demotions t = t.stats.demotions
-let heartbeats_sent t = t.stats.heartbeats_sent
-let heartbeats_seen t = t.stats.heartbeats_seen
-let stale_rejects t = t.stats.stale_rejects
-let inflight_seen t = t.stats.inflight_seen
-let replayed t = t.stats.replayed
 let promotion_ticks t = List.rev t.stats.promotion_ticks
 let replica_inflight_count t = List.length t.replica_inflight
 

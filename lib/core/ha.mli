@@ -79,25 +79,15 @@ val nm : t -> Nm.t
 
 (** {2 Observation} *)
 
-val promotions : t -> int
-val demotions : t -> int
-val heartbeats_sent : t -> int
-val heartbeats_seen : t -> int
-
-val stale_rejects : t -> int
-(** HA frames dropped for carrying a lower epoch than this node knows. *)
-
-val inflight_seen : t -> int
-(** In-flight deltas applied to the standby's replica. *)
-
-val replayed : t -> int
-(** Requests replayed across all of this node's promotions. *)
-
 val promotion_ticks : t -> int list
 (** Tick numbers at which this node promoted, oldest first. *)
 
 val replica_inflight_count : t -> int
 
 val obs_counters : t -> (string * int) list
-(** The stats in registry-source form (e.g. [("promotions", n)]) for
-    [Obs.Registry.register]. *)
+(** The stats in registry-source form for [Obs.Registry.register]:
+    [promotions], [demotions], [heartbeats_sent], [heartbeats_seen],
+    [stale_rejects] (HA frames dropped for carrying a lower epoch than this
+    node knows), [entries_shipped], [entries_applied], [inflight_seen]
+    (in-flight deltas applied to the standby's replica) and [replayed]
+    (requests replayed across all of this node's promotions). *)

@@ -347,7 +347,6 @@ let run t ~ticks =
 
 (* --- observation -------------------------------------------------------------- *)
 
-let ticks t = t.ticks
 let repairs t = t.repairs
 let resyncs t = t.resyncs
 let escalations t = t.escalations

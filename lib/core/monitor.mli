@@ -49,7 +49,6 @@ val run : t -> ticks:int -> unit
 
 (** {1 Observation} *)
 
-val ticks : t -> int
 val repairs : t -> int
 (** Successful re-achievements over an alternate path. *)
 

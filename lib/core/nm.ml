@@ -1174,7 +1174,6 @@ let triggers t = t.triggers
 let set_auto_repair t v = t.auto_repair <- v
 let stats_sent t = t.stats.sent
 let stats_received t = t.stats.received
-let stats_acks t = t.stats.acks
 let inflight_count t = List.length t.inflight
 let transport t = t.transport
 
@@ -1200,14 +1199,12 @@ let apply_replicated_entry t entry =
 
 let inflight t = t.inflight
 let set_inflight t l = t.inflight <- l
-let bump_req t r = t.req <- max t.req r
 
 (* --- federation support (used by Fed) ------------------------------------------ *)
 
 let set_fed_hook t f = t.fed_hook <- Some f
 let set_convey_relay t f = t.convey_relay <- Some f
 let set_owned_devices t l = t.owned_devices <- Some l
-let foreign_writes t = t.foreign_writes
 
 (* --- observability support (wired by Scenarios and the engines) ---------------- *)
 

@@ -221,9 +221,6 @@ val set_inflight : t -> (int * string * Wire.t) list -> unit
 (** Replaces the in-flight set — promotion merges the replicated set in
     before {!take_over} replays it. *)
 
-val bump_req : t -> int -> unit
-(** Raises the request-id counter to at least the given value. *)
-
 (** {2 Federation support (used by {!Fed} in [lib/federation])} *)
 
 val set_fed_hook : t -> (src:string -> Wire.t -> unit) -> unit
@@ -237,14 +234,12 @@ val set_convey_relay : t -> (src:Ids.t -> dst:Ids.t -> Peer_msg.t -> unit) -> un
 
 val set_owned_devices : t -> string list -> unit
 (** Declares the NM's administrative domain. Once set, a state-changing
-    request to any device outside the set bumps {!foreign_writes}, and
-    conveys to foreign modules go through the relay hook. Unset (the
-    default), the NM is in single-NM legacy mode and owns everything. *)
-
-val foreign_writes : t -> int
-(** State-changing requests sent to devices outside the owned set since
-    creation. The federation invariant is that this stays 0: an NM must
-    never write configuration into another domain's devices. *)
+    request to any device outside the set bumps the [foreign_writes]
+    counter of {!obs_counters}, and conveys to foreign modules go through
+    the relay hook. Unset (the default), the NM is in single-NM legacy mode
+    and owns everything. The federation invariant is that [foreign_writes]
+    stays 0: an NM must never write configuration into another domain's
+    devices. *)
 
 val run_script : t -> Script_gen.script -> unit
 (** Ships a ready-made script (a delegated slice of a federated goal) and
@@ -290,8 +285,10 @@ val rx_ctx : t -> Obs.Trace.ctx option
     spans on it so cross-NM work joins the sender's goal tree. *)
 
 val obs_counters : t -> (string * int) list
-(** The NM's counters in registry-source form ([sent], [received],
-    [acks], [foreign_writes]). *)
+(** The NM's counters in registry-source form: [sent] and [received]
+    (Table-VI protocol messages, as {!stats_sent} and {!stats_received}),
+    [acks] (explicit success acks) and [foreign_writes] (state-changing
+    requests sent to devices outside the owned set since creation). *)
 
 (** {1 Observation} *)
 
@@ -300,9 +297,7 @@ val stats_sent : t -> int
 
 val stats_received : t -> int
 (** Protocol messages only, per Table VI — explicit success acks are
-    counted in {!stats_acks} instead. *)
-
-val stats_acks : t -> int
+    counted under [acks] in {!obs_counters} instead. *)
 
 val inflight_count : t -> int
 (** State-changing requests sent but not yet confirmed by an agent. *)

@@ -74,25 +74,15 @@ let attach_nm ?prefix ?(agents = []) ?transport ?admission ?faults t ~station nm
     faults;
   trace
 
-let attach_ha ?prefix t ha =
-  Obs.Registry.register t.registry (pfx prefix "ha") (fun () -> Ha.obs_counters ha)
+let attach_ha ~prefix t ha =
+  Obs.Registry.register t.registry (prefix ^ "_ha") (fun () -> Ha.obs_counters ha)
 
-let attach_net ?prefix t net =
-  Obs.Registry.register t.registry (pfx prefix "netsim") (fun () ->
+let attach_net t net =
+  Obs.Registry.register t.registry "netsim" (fun () ->
       sum_counters
         (List.map
            (fun e -> Netsim.Counters.to_list (Netsim.Link.drop_stats e.Netsim.Net.segment))
            (Netsim.Net.edges net)))
-
-let attach_monitor ?prefix t mon =
-  Obs.Registry.register t.registry (pfx prefix "monitor") (fun () ->
-      [
-        ("ticks", Monitor.ticks mon);
-        ("repairs", Monitor.repairs mon);
-        ("resyncs", Monitor.resyncs mon);
-        ("escalations", Monitor.escalations mon);
-        ("ring_dropped", Monitor.dropped_events mon);
-      ])
 
 (* Ring-buffer loss accounting: everything the deployment silently drops
    when bounded buffers overflow, one gauge per ring (the packet-trace

@@ -44,15 +44,11 @@ val attach_nm :
     ["<prefix>_"] when [?prefix] is given, so multi-NM deployments keep
     one subsystem per (station, layer). Returns the collector. *)
 
-val attach_ha : ?prefix:string -> t -> Ha.t -> unit
-(** Registers an HA node's counters under [ha]. *)
+val attach_ha : prefix:string -> t -> Ha.t -> unit
+(** Registers an HA node's counters under ["<prefix>_ha"]. *)
 
-val attach_net : ?prefix:string -> t -> Netsim.Net.t -> unit
+val attach_net : t -> Netsim.Net.t -> unit
 (** Registers the summed per-cause link-drop counters under [netsim]. *)
-
-val attach_monitor : ?prefix:string -> t -> Monitor.t -> unit
-(** Registers monitor health (and its event-ring drop count) under
-    [monitor]. *)
 
 val ring_dropped : t -> (string * int) list
 (** Every bounded ring's silent-drop count: the global packet-trace ring

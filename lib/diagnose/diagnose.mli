@@ -32,8 +32,6 @@ val note_unreachable : t -> string -> unit
 (** The device failed to answer a showPerf round. *)
 
 val note_reachable : t -> string -> unit
-val is_silent : t -> string -> bool
-val silent_rounds : t -> string -> int
 
 val keys : t -> key list
 val samples : t -> key -> sample list
@@ -48,8 +46,6 @@ val recent : ?n:int -> t -> key -> string -> int
 
 val total : t -> key -> string -> int
 (** Cumulative delta since the series' baseline. *)
-
-val ever_active : t -> key -> string -> bool
 
 (** {1 Anomaly flags} *)
 

@@ -752,19 +752,6 @@ let status t id =
 
 let achieved t id = status t id = Achieved_ok
 
-let global_script t id =
-  match find_goal t id with
-  | Some { gr_phase = Achieved { global; _ }; _ } -> Some global
-  | Some { gr_phase = Committing { global; _ }; _ } -> Some global
-  | _ -> None
-
-let replans t = List.fold_left (fun acc g -> acc + g.gr_replans) 0 t.goals
-let backouts t = List.fold_left (fun acc g -> acc + g.gr_backouts) 0 t.goals
-let relays t = t.stats.relays
-let commits_received t = t.stats.commits_in
-let aborts_received t = t.stats.aborts_in
-let plan_errors t = t.stats.plan_errs
-let delegated_aborted t = List.length (List.filter (fun d -> d.d_aborted) t.delegated)
 let nm t = t.nm
 let domain t = t.domain
 let devices t = t.devices
@@ -779,11 +766,10 @@ let obs_counters t =
     ("aborts_in", t.stats.aborts_in);
     ("relays", t.stats.relays);
     ("plan_errs", t.stats.plan_errs);
-    ("replans", replans t);
-    ("backouts", backouts t);
-    ("delegated_aborted", delegated_aborted t);
+    ("replans", List.fold_left (fun acc g -> acc + g.gr_replans) 0 t.goals);
+    ("backouts", List.fold_left (fun acc g -> acc + g.gr_backouts) 0 t.goals);
+    ("delegated_aborted", List.length (List.filter (fun d -> d.d_aborted) t.delegated));
   ]
-let peers_known t = List.filter_map (fun p -> if p.p_seen then Some (p.p_domain, p.p_devices) else None) t.peers
 
 (* --- construction ---------------------------------------------------------------- *)
 

@@ -14,8 +14,8 @@
       and delegates each domain its own per-device slices under a
       two-phase commit;
     - every configuration write comes from the owning NM — the
-      coordinator never touches a foreign device ({!Conman.Nm.foreign_writes}
-      stays 0);
+      coordinator never touches a foreign device (the NM's
+      [foreign_writes] counter stays 0);
     - on a failed or timed-out segment the coordinator drives a
       distributed back-out so no domain is left half-configured, then
       replans;
@@ -66,33 +66,9 @@ type status = Pending | Achieved_ok | Failed_with of string
 val status : t -> int -> status
 val achieved : t -> int -> bool
 
-val global_script : t -> int -> Script_gen.script option
-(** The coordinator's full cross-domain script (for parity checks against
-    a single-NM plan). *)
-
-val replans : t -> int
-(** Planning rounds restarted after a plan error or back-out. *)
-
-val backouts : t -> int
-(** Distributed back-outs this coordinator drove. *)
-
-val relays : t -> int
-(** Cross-domain conveyMessages forwarded or delivered by this node. *)
-
-val commits_received : t -> int
-val aborts_received : t -> int
-val plan_errors : t -> int
-
-val delegated_aborted : t -> int
-(** Delegated commits this node backed out (including tombstones for
-    commits that never arrived). *)
-
 val nm : t -> Nm.t
 val domain : t -> string
 val devices : t -> string list
-
-val peers_known : t -> (string * string list) list
-(** Advertised peer domains and their device sets. *)
 
 (** {1 Tracing and metrics}
 
@@ -112,4 +88,14 @@ val goal_trace : t -> int -> Obs.Trace.ctx option
     begun (usable with [Obs.Trace.goal_spans] / [render]). *)
 
 val obs_counters : t -> (string * int) list
-(** Protocol stats in registry-source form for [Obs.Registry.register]. *)
+(** Protocol stats in registry-source form for [Obs.Registry.register]:
+    - [commits_in], [aborts_in]: [Fed_commit] / [Fed_abort] received,
+      retransmits included;
+    - [relays]: cross-domain conveyMessages forwarded or delivered by this
+      node;
+    - [plan_errs]: planning attempts that failed (no path, or a
+      [Fed_plan_err] from the peer);
+    - [replans]: planning rounds restarted after a plan error or back-out;
+    - [backouts]: distributed back-outs this coordinator drove;
+    - [delegated_aborted]: delegated commits this node backed out
+      (including tombstones for commits that never arrived). *)

@@ -104,13 +104,6 @@ let lost_total t =
 
 let queue_depth t = Queue.length t.q2 + Queue.length t.q3
 
-let summary t =
-  let c i = t.classes.(i) in
-  Printf.sprintf
-    "adm[P0=%d P1=%d P2=%d/%d shed=%d P3=%d/%d shed=%d expired=%d hw=%d]"
-    (c 0).admitted (c 1).admitted (c 2).admitted (c 2).deferred (c 2).shed (c 3).admitted
-    (c 3).deferred (c 3).shed (c 3).expired (c 3).queue_high_water
-
 (* --- token buckets ------------------------------------------------------ *)
 
 let bucket_of t peer =

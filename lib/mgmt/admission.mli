@@ -84,6 +84,3 @@ val obs_counters : t -> (string * int) list
 
 val queue_depth : t -> int
 (** Frames currently waiting for tokens. *)
-
-val summary : t -> string
-(** One-line rendering of the per-class counters. *)

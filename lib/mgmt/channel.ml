@@ -74,15 +74,27 @@ module Raw = struct
      entries per source, old entries evicted as [hi] advances. *)
   type swin = { mutable hi : int; recent : (int, unit) Hashtbl.t }
 
+  (* A message being reassembled from its fragments. *)
+  type partial = { parts : bytes option array; mutable missing : int }
+
   type agent = {
     device : Device.t;
     mutable next_seq : int;
     seen : (string, swin) Hashtbl.t;
     window : int;
     mutable handler : handler option;
+    (* keyed by (source, seq of the first fragment); at most [max_partial]
+       entries, the oldest evicted first *)
+    partial : (string * int, partial) Hashtbl.t;
+    partial_order : (string * int) Queue.t;
   }
 
   let default_window = 512
+
+  (* The largest encoded frame that fits a default 1518-byte segment behind
+     its Ethernet header; a larger message is sent as fragments. *)
+  let max_frame = 1518 - Packet.Ethernet.header_size
+  let max_partial = 64
 
   (* Returns [true] if [seq] from [src] was already seen (or is too old to
      tell); records it otherwise. *)
@@ -143,12 +155,38 @@ module Raw = struct
     let find_agent id =
       List.find_opt (fun a -> a.device.Device.dev_id = id) st.agents
     in
-    let deliver agent (f : Frame.t) =
+    let deliver agent ~src payload =
       match agent.handler with
       | Some h ->
           st.raw_stats.frames_delivered <- st.raw_stats.frames_delivered + 1;
-          h ~src:f.Frame.src_device f.Frame.payload
+          h ~src payload
       | None -> ()
+    in
+    (* Files one fragment; delivers the message once every fragment is in.
+       Fragments of one message carry consecutive sequence numbers, so
+       [seq - index] names the message. *)
+    let reassemble agent (f : Frame.t) { Frame.index; count } =
+      let key = (f.Frame.src_device, f.Frame.seq - index) in
+      let p =
+        match Hashtbl.find_opt agent.partial key with
+        | Some p -> p
+        | None ->
+            if Queue.length agent.partial_order >= max_partial then
+              Hashtbl.remove agent.partial (Queue.pop agent.partial_order);
+            let p = { parts = Array.make count None; missing = count } in
+            Hashtbl.replace agent.partial key p;
+            Queue.push key agent.partial_order;
+            p
+      in
+      if index < Array.length p.parts && p.parts.(index) = None then begin
+        p.parts.(index) <- Some f.Frame.payload;
+        p.missing <- p.missing - 1;
+        if p.missing = 0 then begin
+          Hashtbl.remove agent.partial key;
+          deliver agent ~src:f.Frame.src_device
+            (Bytes.concat Bytes.empty (List.filter_map Fun.id (Array.to_list p.parts)))
+        end
+      end
     in
     let send ~src ~dst payload =
       match find_agent src with
@@ -157,17 +195,34 @@ module Raw = struct
              event loop: drop and count instead of raising. *)
           st.raw_stats.frames_dropped <- st.raw_stats.frames_dropped + 1
       | Some agent ->
-          st.raw_stats.frames_sent <- st.raw_stats.frames_sent + 1;
-          agent.next_seq <- agent.next_seq + 1;
-          let f =
+          let frame payload =
+            st.raw_stats.frames_sent <- st.raw_stats.frames_sent + 1;
+            agent.next_seq <- agent.next_seq + 1;
+            ignore (seen_before agent src agent.next_seq);
+            note_seen_size st agent src;
             { Frame.src_device = src; dst_device = dst; seq = agent.next_seq; payload }
           in
-          ignore (seen_before agent src f.Frame.seq);
-          note_seen_size st agent src;
           (* Local loopback when a device messages itself (e.g. the NM's own
              modules). Broadcasts are never self-delivered. *)
-          if dst = src then deliver agent f
-          else flood agent (Frame.encode f)
+          if dst = src then deliver agent ~src (frame payload).Frame.payload
+          else
+            let len = Bytes.length payload in
+            let empty =
+              { Frame.src_device = src; dst_device = dst; seq = 0; payload = Bytes.empty }
+            in
+            if Bytes.length (Frame.encode empty) + len <= max_frame then
+              flood agent (Frame.encode (frame payload))
+            else
+              (* too big for one link frame: consecutive fragments, each
+                 with its own sequence number *)
+              let frag0 = { Frame.index = 0; count = 1 } in
+              let chunk = max_frame - Bytes.length (Frame.encode_fragment empty frag0) in
+              let count = (len + chunk - 1) / chunk in
+              for index = 0 to count - 1 do
+                let off = index * chunk in
+                let f = frame (Bytes.sub payload off (min chunk (len - off))) in
+                flood agent (Frame.encode_fragment f { Frame.index; count })
+              done
     in
     let subscribe id h =
       match find_agent id with
@@ -177,20 +232,32 @@ module Raw = struct
     let chan = { send; subscribe; stats = st.raw_stats } in
     let attach device =
       let agent =
-        { device; next_seq = 0; seen = Hashtbl.create 8; window; handler = None }
+        {
+          device;
+          next_seq = 0;
+          seen = Hashtbl.create 8;
+          window;
+          handler = None;
+          partial = Hashtbl.create 4;
+          partial_order = Queue.create ();
+        }
       in
       st.agents <- agent :: st.agents;
       device.Device.mgmt_hook <-
         Some
           (fun ~in_port ~src:_ payload ->
-            match Frame.decode payload with
+            match Frame.decode_fragment payload with
             | exception Frame.Bad_frame _ -> ()
-            | f ->
+            | f, frag ->
                 if not (seen_before agent f.Frame.src_device f.Frame.seq) then begin
                   note_seen_size st agent f.Frame.src_device;
                   let mine = f.Frame.dst_device = device.Device.dev_id in
                   let bcast = f.Frame.dst_device = Frame.broadcast in
-                  if mine || bcast then deliver agent f;
+                  if mine || bcast then begin
+                    match frag with
+                    | None -> deliver agent ~src:f.Frame.src_device f.Frame.payload
+                    | Some fr -> reassemble agent f fr
+                  end;
                   (* Forward everything that is not exclusively ours: the
                      4D-style dissemination. *)
                   if not mine then flood agent ~except:in_port payload

@@ -61,5 +61,12 @@ module Raw : sig
       remembers at most [window] recent sequence numbers per source
       (default {!default_window}); anything older than [hi - window] is
       treated as already seen. Sending from a device that is not attached
-      drops the frame and increments [frames_dropped] rather than raising. *)
+      drops the frame and increments [frames_dropped] rather than raising.
+
+      A message too large for one default 1518-byte link frame is sent as
+      fragments ({!Frame.encode_fragment}), each with its own sequence
+      number, and delivered once all of them reach the destination. Each
+      agent holds at most 64 incomplete messages, dropping the oldest.
+      [frames_sent] counts fragments; [frames_delivered] counts whole
+      messages. *)
 end

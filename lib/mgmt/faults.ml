@@ -37,14 +37,6 @@ module Prng = struct
     Int64.to_int (Int64.rem (Int64.shift_right_logical (next_u64 t) 1) (Int64.of_int n))
 end
 
-type counters = {
-  mutable dropped : int; (* lost to the random loss model *)
-  mutable duplicated : int;
-  mutable delayed : int; (* sends deferred by reordering jitter *)
-  mutable crash_drops : int; (* blocked because an endpoint is crashed *)
-  mutable partition_drops : int; (* blocked by a management partition *)
-}
-
 type t = {
   eq : Event_queue.t;
   prng : Prng.t;
@@ -54,7 +46,11 @@ type t = {
   mutable jitter_ns : int64;
   crashed : (string, unit) Hashtbl.t;
   partitioned : (string, unit) Hashtbl.t;
-  counters : counters;
+  mutable dropped : int; (* lost to the random loss model *)
+  mutable duplicated : int;
+  mutable delayed : int; (* sends deferred by reordering jitter *)
+  mutable crash_drops : int; (* blocked because an endpoint is crashed *)
+  mutable partition_drops : int; (* blocked by a management partition *)
 }
 
 let next_u64 t = Prng.next_u64 t.prng
@@ -75,26 +71,23 @@ let restart t id = Hashtbl.remove t.crashed id
 let is_crashed t id = Hashtbl.mem t.crashed id
 let partition t id = Hashtbl.replace t.partitioned id ()
 let heal t id = Hashtbl.remove t.partitioned id
-let counters t = t.counters
 
 (* Registry-source form of the counters (see Obs.Registry in lib/obs). *)
 let obs_counters t =
-  let c = t.counters in
   [
-    ("dropped", c.dropped);
-    ("duplicated", c.duplicated);
-    ("delayed", c.delayed);
-    ("crash_drops", c.crash_drops);
-    ("partition_drops", c.partition_drops);
+    ("dropped", t.dropped);
+    ("duplicated", t.duplicated);
+    ("delayed", t.delayed);
+    ("crash_drops", t.crash_drops);
+    ("partition_drops", t.partition_drops);
   ]
 
 let reset_counters t =
-  let c = t.counters in
-  c.dropped <- 0;
-  c.duplicated <- 0;
-  c.delayed <- 0;
-  c.crash_drops <- 0;
-  c.partition_drops <- 0
+  t.dropped <- 0;
+  t.duplicated <- 0;
+  t.delayed <- 0;
+  t.crash_drops <- 0;
+  t.partition_drops <- 0
 
 let clear t =
   t.default_drop <- 0.;
@@ -122,25 +115,28 @@ let wrap ?(seed = 0) ~eq inner =
       jitter_ns = 0L;
       crashed = Hashtbl.create 4;
       partitioned = Hashtbl.create 4;
-      counters =
-        { dropped = 0; duplicated = 0; delayed = 0; crash_drops = 0; partition_drops = 0 };
+      dropped = 0;
+      duplicated = 0;
+      delayed = 0;
+      crash_drops = 0;
+      partition_drops = 0;
     }
   in
   let send ~src ~dst payload =
     if Hashtbl.mem t.crashed src || (dst <> Frame.broadcast && Hashtbl.mem t.crashed dst)
-    then t.counters.crash_drops <- t.counters.crash_drops + 1
+    then t.crash_drops <- t.crash_drops + 1
     else if
       Hashtbl.mem t.partitioned src
       || (dst <> Frame.broadcast && Hashtbl.mem t.partitioned dst)
-    then t.counters.partition_drops <- t.counters.partition_drops + 1
+    then t.partition_drops <- t.partition_drops + 1
     else
       let p = drop_prob t src dst in
-      if p > 0. && uniform t < p then t.counters.dropped <- t.counters.dropped + 1
+      if p > 0. && uniform t < p then t.dropped <- t.dropped + 1
       else begin
         let forward () = Channel.send inner ~src ~dst payload in
         let ship () =
           if t.jitter_ns > 0L then begin
-            t.counters.delayed <- t.counters.delayed + 1;
+            t.delayed <- t.delayed + 1;
             let d = Int64.rem (Int64.shift_right_logical (next_u64 t) 1) t.jitter_ns in
             Event_queue.schedule t.eq ~delay_ns:d forward
           end
@@ -148,7 +144,7 @@ let wrap ?(seed = 0) ~eq inner =
         in
         ship ();
         if t.dup_prob > 0. && uniform t < t.dup_prob then begin
-          t.counters.duplicated <- t.counters.duplicated + 1;
+          t.duplicated <- t.duplicated + 1;
           ship ()
         end
       end
@@ -158,9 +154,9 @@ let wrap ?(seed = 0) ~eq inner =
   let subscribe id h =
     Channel.subscribe inner ~device_id:id (fun ~src payload ->
         if Hashtbl.mem t.crashed id || Hashtbl.mem t.crashed src then
-          t.counters.crash_drops <- t.counters.crash_drops + 1
+          t.crash_drops <- t.crash_drops + 1
         else if Hashtbl.mem t.partitioned id || Hashtbl.mem t.partitioned src then
-          t.counters.partition_drops <- t.counters.partition_drops + 1
+          t.partition_drops <- t.partition_drops + 1
         else h ~src payload)
   in
   (Channel.make ~send ~subscribe ~stats:(Channel.stats inner), t)

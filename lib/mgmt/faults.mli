@@ -24,14 +24,6 @@ module Prng : sig
       if [n <= 0]. *)
 end
 
-type counters = {
-  mutable dropped : int;  (** frames lost to the random loss model *)
-  mutable duplicated : int;  (** frames shipped twice *)
-  mutable delayed : int;  (** sends deferred by reordering jitter *)
-  mutable crash_drops : int;  (** frames blocked by a crashed endpoint *)
-  mutable partition_drops : int;  (** frames blocked by a partition *)
-}
-
 type t
 
 val wrap : ?seed:int -> eq:Netsim.Event_queue.t -> Channel.t -> Channel.t * t
@@ -77,11 +69,13 @@ val clear : t -> unit
 (** Resets every knob (drop, duplication, jitter, crashes, partitions)
     to the fault-free default. Counters are preserved. *)
 
-val counters : t -> counters
-
 val obs_counters : t -> (string * int) list
-(** The counters in registry-source form (e.g. [("crash_drops", n)]) for
-    [Obs.Registry.register]. *)
+(** The counters in registry-source form for [Obs.Registry.register]:
+    - [dropped]: frames lost to the random loss model;
+    - [duplicated]: frames shipped twice;
+    - [delayed]: sends deferred by reordering jitter;
+    - [crash_drops]: frames blocked by a crashed endpoint;
+    - [partition_drops]: frames blocked by a partition. *)
 
 val reset_counters : t -> unit
 (** Zeroes every counter. [clear] deliberately preserves counters so a

@@ -114,18 +114,12 @@ let cut segment =
 
 let restore segment = segment.cut <- false
 
-let schedule_cut segment ~delay_ns =
-  Event_queue.schedule segment.eq ~delay_ns (fun () -> cut segment)
-
-let schedule_restore segment ~delay_ns =
-  Event_queue.schedule segment.eq ~delay_ns (fun () -> restore segment)
-
 let flap ?(cycles = 1) segment ~first_down_ns ~down_ns ~up_ns =
   let period = Int64.add down_ns up_ns in
   for i = 0 to cycles - 1 do
     let off = Int64.add first_down_ns (Int64.mul (Int64.of_int i) period) in
-    schedule_cut segment ~delay_ns:off;
-    schedule_restore segment ~delay_ns:(Int64.add off down_ns)
+    Event_queue.schedule segment.eq ~delay_ns:off (fun () -> cut segment);
+    Event_queue.schedule segment.eq ~delay_ns:(Int64.add off down_ns) (fun () -> restore segment)
   done
 
 let clear_faults segment =

@@ -25,9 +25,6 @@ val cut : segment -> unit
 val restore : segment -> unit
 val is_cut : segment -> bool
 
-val schedule_cut : segment -> delay_ns:int64 -> unit
-val schedule_restore : segment -> delay_ns:int64 -> unit
-
 val flap : ?cycles:int -> segment -> first_down_ns:int64 -> down_ns:int64 -> up_ns:int64 -> unit
 (** Schedules [cycles] cut/restore pairs on the event queue: down at
     [first_down_ns] from now for [down_ns], up for [up_ns], repeating. *)

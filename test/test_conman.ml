@@ -653,6 +653,21 @@ let test_e2e_esp () =
         (List.exists (fun (_, v) -> v = "established") ike_state)
   | None -> Alcotest.fail "no showActual"
 
+let test_e2e_esp_raw_channel () =
+  (* with the IPsec pair registered, A's and C's showPotential answers no
+     longer fit one link frame: the raw channel must carry them as
+     fragments or the NM never learns those modules *)
+  let v = Scenarios.build_vpn ~channel:`Raw ~secure:true () in
+  let topo = Nm.topology v.Scenarios.nm in
+  check tint "A has 8 modules" 8 (List.length (Topology.modules_of_device topo "id-A"));
+  check tint "C has 8 modules" 8 (List.length (Topology.modules_of_device topo "id-C"));
+  let paths = Nm.find_paths v.Scenarios.nm v.Scenarios.goal in
+  let p = List.find (fun p -> Path_finder.signature p = canonical_esp) paths in
+  check tbool "the ESP path is secure" true (Scenarios.secure p);
+  let _ = Nm.configure_path v.Scenarios.nm v.Scenarios.goal p in
+  check tbool "no errors" true (Nm.errors v.Scenarios.nm = []);
+  check tbool "S1 <-> S2 over IPsec via the raw channel" true (Scenarios.vpn_reachable v)
+
 let test_esp_traffic_encrypted_on_core () =
   let v, _, _ = configure_esp () in
   Netsim.Trace.with_trace (fun () ->
@@ -778,6 +793,7 @@ let () =
           Alcotest.test_case "secure path enumeration" `Quick test_secure_paths_enumerated;
           Alcotest.test_case "dependency advertisement" `Quick test_esp_dependency_in_abstraction;
           Alcotest.test_case "IPsec end to end (IKE over data plane)" `Quick test_e2e_esp;
+          Alcotest.test_case "IPsec over the raw in-band channel" `Quick test_e2e_esp_raw_channel;
           Alcotest.test_case "core sees only ciphertext" `Quick test_esp_traffic_encrypted_on_core;
           Alcotest.test_case "wrong key drops" `Quick test_esp_wrong_key_drops;
         ] );

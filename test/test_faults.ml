@@ -38,9 +38,9 @@ let test_lossy_convergence () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "achieve under 30%% loss: %s" e);
   check tbool "VPN works despite 30% mgmt loss" true (Scenarios.vpn_reachable v);
-  let fc = Mgmt.Faults.counters v.Scenarios.faults in
   let rc = Mgmt.Reliable.counters v.Scenarios.transport in
-  check tbool "frames were dropped" true (fc.Mgmt.Faults.dropped > 0);
+  check tbool "frames were dropped" true
+    (List.assoc "dropped" (Mgmt.Faults.obs_counters v.Scenarios.faults) > 0);
   check tbool "losses were retransmitted" true (rc.Mgmt.Reliable.retransmits > 0);
   check tint "no destination abandoned" 0 rc.Mgmt.Reliable.gave_up
 
@@ -50,9 +50,10 @@ let test_lossy_determinism () =
     Mgmt.Faults.set_drop v.Scenarios.faults 0.3;
     Nm.harvest_potentials v.Scenarios.nm v.Scenarios.scope;
     ignore (Nm.achieve v.Scenarios.nm v.Scenarios.goal);
-    let fc = Mgmt.Faults.counters v.Scenarios.faults in
     let rc = Mgmt.Reliable.counters v.Scenarios.transport in
-    (fc.Mgmt.Faults.dropped, rc.Mgmt.Reliable.retransmits, Nm.stats_sent v.Scenarios.nm)
+    ( List.assoc "dropped" (Mgmt.Faults.obs_counters v.Scenarios.faults),
+      rc.Mgmt.Reliable.retransmits,
+      Nm.stats_sent v.Scenarios.nm )
   in
   let d1, r1, s1 = run 9 in
   let d2, r2, s2 = run 9 in
@@ -143,14 +144,15 @@ let test_restart_resyncs_active_scripts () =
   let ok, detail = Nm.self_test v.Scenarios.nm (Ids.v "IP" "i" "id-B") in
   check tbool (Printf.sprintf "self-test fails while down (%s)" detail) false ok;
   check tbool "B unreachable" false (Topology.is_reachable (Nm.topology v.Scenarios.nm) "id-B");
-  let acks_before = Nm.stats_acks v.Scenarios.nm in
+  let acks () = List.assoc "acks" (Nm.obs_counters v.Scenarios.nm) in
+  let acks_before = acks () in
   Netsim.Device.restart rb;
   Mgmt.Faults.restart v.Scenarios.faults "id-B";
   Agent.announce (List.assoc "B" v.Scenarios.agents) v.Scenarios.tb.Netsim.Testbeds.vpn_net;
   Nm.run v.Scenarios.nm;
   (* the Hello triggered re-showPotential + re-sync of B's script slices *)
   check tbool "reachable again" true (Topology.is_reachable (Nm.topology v.Scenarios.nm) "id-B");
-  check tbool "script slices re-acked on re-sync" true (Nm.stats_acks v.Scenarios.nm > acks_before);
+  check tbool "script slices re-acked on re-sync" true (acks () > acks_before);
   check tbool "no errors from idempotent re-execution" true (Nm.errors v.Scenarios.nm = []);
   check tbool "VPN works after warm restart + re-sync" true (Scenarios.vpn_reachable v)
 
@@ -165,7 +167,7 @@ let test_standby_reissues_inflight () =
   Nm.assign_address v.Scenarios.nm ~target ~addr:"10.0.9.1" ~plen:24;
   check tint "request still in flight at the primary" 1 (Nm.inflight_count v.Scenarios.nm);
   check tbool "partition drops counted" true
-    ((Mgmt.Faults.counters v.Scenarios.faults).Mgmt.Faults.partition_drops > 0);
+    (List.assoc "partition_drops" (Mgmt.Faults.obs_counters v.Scenarios.faults) > 0);
   check tbool "address not applied" false
     (Netsim.Device.is_local_addr (vpn_device v "A") (Packet.Ipv4_addr.of_string "10.0.9.1"));
   (* warm standby takes over; the partition heals; the standby replays the

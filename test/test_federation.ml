@@ -12,6 +12,8 @@ let check = Alcotest.check
 let tbool = Alcotest.bool
 let tint = Alcotest.int
 let tick_ns = 500_000_000L
+let fed_counter k node = List.assoc k (Federation.Fed.obs_counters node)
+let nm_counter k node = List.assoc k (Nm.obs_counters (Federation.Fed.nm node))
 
 (* The structural part of a show_actual report (see Monitor.structural_keys);
    a device that does not answer fails the test. *)
@@ -69,8 +71,8 @@ let test_cross_domain_achieve_parity () =
   let gid = Federation.Fed.submit t.fwest t.fgoal in
   check tbool "cross-domain goal converges" true (converge t gid);
   check tbool "customer edges reachable" true (two_domain_reachable t);
-  check tint "west never wrote into east" 0 (Nm.foreign_writes (Federation.Fed.nm t.fwest));
-  check tint "east never wrote into west" 0 (Nm.foreign_writes (Federation.Fed.nm t.feast));
+  check tint "west never wrote into east" 0 (nm_counter "foreign_writes" t.fwest);
+  check tint "east never wrote into west" 0 (nm_counter "foreign_writes" t.feast);
   (* equivalent single-NM run over the same testbed *)
   let c = Scenarios.build_chain 4 in
   (match Nm.achieve c.Scenarios.cnm c.Scenarios.cgoal with
@@ -95,8 +97,8 @@ let test_convey_relayed_across_domains () =
   (* the chosen chain path tunnels edge-to-edge: the GRE/MPLS peer
      negotiation between id-R1 (west) and id-R4 (east) must have crossed
      the boundary as NM-to-NM Fed_relay traffic *)
-  check tbool "west relayed conveys out" true (Federation.Fed.relays t.fwest > 0);
-  check tbool "east relayed conveys in" true (Federation.Fed.relays t.feast > 0);
+  check tbool "west relayed conveys out" true (fed_counter "relays" t.fwest > 0);
+  check tbool "east relayed conveys in" true (fed_counter "relays" t.feast > 0);
   let crossed =
     List.exists
       (fun ((src : Ids.t), (dst : Ids.t), _) ->
@@ -135,7 +137,7 @@ let test_backout_on_peer_crash () =
     Federation.Fed.tick t.fwest ~tick;
     run_interval ()
   done;
-  check tbool "west drove a back-out" true (Federation.Fed.backouts t.fwest >= 1);
+  check tbool "west drove a back-out" true (fed_counter "backouts" t.fwest >= 1);
   (* west backed its own slices out: its devices are at the baseline *)
   List.iter
     (fun dev ->
@@ -162,10 +164,10 @@ let test_backout_on_peer_crash () =
   in
   check tbool "goal converges after the east NM returns" true converged;
   check tbool "east executed at least one abort" true
-    (Federation.Fed.delegated_aborted t.feast >= 1);
+    (fed_counter "delegated_aborted" t.feast >= 1);
   check tbool "customer edges reachable" true (two_domain_reachable t);
-  check tint "west never wrote into east" 0 (Nm.foreign_writes (Federation.Fed.nm t.fwest));
-  check tint "east never wrote into west" 0 (Nm.foreign_writes (Federation.Fed.nm t.feast));
+  check tint "west never wrote into east" 0 (nm_counter "foreign_writes" t.fwest);
+  check tint "east never wrote into west" 0 (nm_counter "foreign_writes" t.feast);
   (* final state parity: the aborted round left no residue anywhere *)
   let c = Scenarios.build_chain 4 in
   (match Nm.achieve c.Scenarios.cnm c.Scenarios.cgoal with
@@ -206,11 +208,11 @@ let test_foreign_slice_refused () =
   Nm.run nm_w;
   Federation.Fed.tick t.feast ~tick:1;
   Nm.run nm_w;
-  check tint "east received the commit" 1 (Federation.Fed.commits_received t.feast);
+  check tint "east received the commit" 1 (fed_counter "commits_in" t.feast);
   check tbool "east tombstoned the rogue commit" true
-    (Federation.Fed.delegated_aborted t.feast >= 1);
+    (fed_counter "delegated_aborted" t.feast >= 1);
   check tint "east wrote nothing across the boundary" 0
-    (Nm.foreign_writes (Federation.Fed.nm t.feast));
+    (nm_counter "foreign_writes" t.feast);
   check (Alcotest.list Alcotest.string) "the west device is untouched" before
     (structural_keys nm_w "id-R1")
 

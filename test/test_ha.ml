@@ -10,6 +10,8 @@ let check = Alcotest.check
 let tbool = Alcotest.bool
 let tint = Alcotest.int
 let tick_ns = 500_000_000L
+let ha_counter k ha = List.assoc k (Ha.obs_counters ha)
+let agent_counter k a = List.assoc k (Agent.obs_counters a)
 
 (* The structural part of a show_actual report (see Monitor.structural_keys);
    a device that does not answer fails the test. *)
@@ -65,8 +67,8 @@ let test_promotion_on_heartbeat_loss () =
   for t = 0 to 3 do
     step net p s t
   done;
-  check tint "no promotion while heartbeats flow" 0 (Ha.promotions s);
-  check tbool "heartbeats observed" true (Ha.heartbeats_seen s > 0);
+  check tint "no promotion while heartbeats flow" 0 (ha_counter "promotions" s);
+  check tbool "heartbeats observed" true (ha_counter "heartbeats_seen" s > 0);
   check tbool "journal replicated" true
     (List.length (Intent.entries (Nm.journal (Ha.nm s)))
     = List.length (Intent.entries (Nm.journal (Ha.nm p))));
@@ -77,7 +79,7 @@ let test_promotion_on_heartbeat_loss () =
   let promoted_at = drive_to_promotion net p s ~from:crash_tick in
   check tbool "detected within four ticks" true (promoted_at - crash_tick <= 4);
   check tint "promotion fenced a fresh epoch" 2 (Ha.epoch s);
-  check tint "exactly one promotion" 1 (Ha.promotions s);
+  check tint "exactly one promotion" 1 (ha_counter "promotions" s);
   (* the takeover announcement redirected every agent to the new leader *)
   ignore (Netsim.Net.run net);
   List.iter
@@ -113,12 +115,16 @@ let test_fenced_old_primary () =
   (* the deposed primary tries to configure an agent: the frame carries
      epoch 1, the agents are at epoch 2 -> fenced out, nothing applied *)
   let rejects_before =
-    List.fold_left (fun acc (_, ag) -> acc + Agent.fenced_rejects ag) 0 d.Scenarios.dagents
+    List.fold_left
+      (fun acc (_, ag) -> acc + agent_counter "fenced_rejects" ag)
+      0 d.Scenarios.dagents
   in
   let target = Ids.v "IP" "i1" "id-B1" in
   Nm.assign_address (Ha.nm p) ~target ~addr:"10.0.9.1" ~plen:24;
   let rejects_after =
-    List.fold_left (fun acc (_, ag) -> acc + Agent.fenced_rejects ag) 0 d.Scenarios.dagents
+    List.fold_left
+      (fun acc (_, ag) -> acc + agent_counter "fenced_rejects" ag)
+      0 d.Scenarios.dagents
   in
   check tbool "agents fenced the stale-epoch request" true (rejects_after > rejects_before);
   check tbool "address not applied by the deposed primary" false
@@ -135,7 +141,7 @@ let test_fenced_old_primary () =
     step net p s t
   done;
   check tbool "old primary stepped down" true (Ha.role p = Ha.Standby);
-  check tint "exactly one demotion" 1 (Ha.demotions p);
+  check tint "exactly one demotion" 1 (ha_counter "demotions" p);
   check tint "deposed node adopted the epoch" 2 (Ha.epoch p);
   check tbool "exactly one acting primary" true
     (List.length (List.filter (fun h -> Ha.role h = Ha.Primary) [ p; s ]) = 1);
@@ -184,7 +190,7 @@ let test_crash_mid_achieve_exactly_once () =
   Mgmt.Faults.crash d.Scenarios.dfaults Scenarios.nm_station_id;
   Ha.set_alive p false;
   let t0 = drive_to_promotion net p s ~from:2 in
-  check tbool "promotion replayed the unconfirmed requests" true (Ha.replayed s > 0);
+  check tbool "promotion replayed the unconfirmed requests" true (ha_counter "replayed" s > 0);
   (* the agent partition heals; the replayed request is re-driven until
      confirmed *)
   Mgmt.Faults.heal d.Scenarios.dfaults "id-C";
@@ -250,8 +256,8 @@ let test_double_failover () =
   | None -> Alcotest.fail "original node never re-promoted"
   | Some _ -> ());
   check tint "second failover fenced epoch 3" 3 (Ha.epoch p);
-  check tint "one promotion per node" 1 (Ha.promotions s);
-  check tint "re-promotion counted" 1 (Ha.promotions p);
+  check tint "one promotion per node" 1 (ha_counter "promotions" s);
+  check tint "re-promotion counted" 1 (ha_counter "promotions" p);
   ignore (Netsim.Net.run net);
   List.iter
     (fun (id, a) ->
@@ -326,7 +332,7 @@ let test_takeover_duplicates_and_stale_epochs () =
         (Agent.nm_device a);
       check tint (id ^ " at epoch 1... bumped") 1 (Agent.nm_epoch a);
       check tint (id ^ " duplicate announcements are silent no-ops") 0
-        (Agent.takeover_rejects a))
+        (agent_counter "takeover_rejects" a))
     d.Scenarios.dagents;
   (* the deposed primary re-announces itself with its stale epoch: every
      agent must reject it and stay with the new leader *)
@@ -336,7 +342,8 @@ let test_takeover_duplicates_and_stale_epochs () =
     (fun (id, a) ->
       check Alcotest.string (id ^ " still follows the new leader") Scenarios.standby_station_id
         (Agent.nm_device a);
-      check tbool (id ^ " counted the stale takeover") true (Agent.takeover_rejects a > 0))
+      check tbool (id ^ " counted the stale takeover") true
+        (agent_counter "takeover_rejects" a > 0))
     d.Scenarios.dagents
 
 let () =

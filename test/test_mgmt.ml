@@ -21,6 +21,16 @@ let test_frame_broadcast_roundtrip () =
   in
   check tbool "roundtrip" true (Frame.equal f (Frame.decode (Frame.encode f)))
 
+let test_frame_fragment_roundtrip () =
+  let f =
+    { Frame.src_device = "id-A"; dst_device = "id-NM"; seq = 7; payload = Bytes.of_string "part" }
+  in
+  let g, frag = Frame.decode_fragment (Frame.encode_fragment f { Frame.index = 1; count = 3 }) in
+  check tbool "frame roundtrip" true (Frame.equal f g);
+  check tbool "trailer roundtrip" true (frag = Some { Frame.index = 1; count = 3 });
+  check tbool "a whole frame has no trailer" true
+    (snd (Frame.decode_fragment (Frame.encode f)) = None)
+
 let prop_frame_roundtrip =
   QCheck.Test.make ~name:"frame roundtrip" ~count:300
     (QCheck.make
@@ -172,6 +182,49 @@ let prop_raw_delivery_on_random_trees =
       let events = Net.run ~max_events:1_000_000 net in
       events < 1_000_000 && !got)
 
+let test_raw_fragments_large_payload () =
+  (* A 4 KB message does not fit one 1518-byte segment, so it travels as
+     fragments. On a ring every fragment reaches each device twice (once
+     per direction); the message must still be delivered exactly once, and
+     whole. *)
+  let net = Net.create () in
+  let chan, attach = Channel.Raw.create () in
+  let mk name =
+    let d = Net.add_device net ~id:("id-" ^ name) ~name in
+    ignore (Device.add_port d);
+    ignore (Device.add_port d);
+    d
+  in
+  let a = mk "a" and b = mk "b" and c = mk "c" in
+  let segs =
+    [ Net.connect net (a, 1) (b, 0); Net.connect net (b, 1) (c, 0); Net.connect net (c, 1) (a, 0) ]
+  in
+  List.iter attach [ a; b; c ];
+  let payload = Bytes.init 4096 (fun i -> Char.chr (i * 7 mod 256)) in
+  let got = Hashtbl.create 4 in
+  List.iter
+    (fun id ->
+      Channel.subscribe chan ~device_id:id (fun ~src p ->
+          Hashtbl.add got id (src, Bytes.to_string p)))
+    [ "id-a"; "id-b"; "id-c" ];
+  Channel.send chan ~src:"id-a" ~dst:"id-c" payload;
+  ignore (Net.run net);
+  check tbool "sent as several frames" true ((Channel.stats chan).Channel.frames_sent > 1);
+  check tint "no segment dropped a frame for its size" 0
+    (List.fold_left (fun acc s -> acc + Link.drop_count s "mtu") 0 segs);
+  check tbool "unicast delivered exactly once, whole" true
+    (Hashtbl.find_all got "id-c" = [ ("id-a", Bytes.to_string payload) ]);
+  check tint "bystanders get nothing" 0 (Hashtbl.length got - 1);
+  Hashtbl.reset got;
+  Channel.send chan ~src:"id-a" ~dst:Frame.broadcast payload;
+  ignore (Net.run net);
+  List.iter
+    (fun id ->
+      check tbool (id ^ " got the broadcast exactly once") true
+        (Hashtbl.find_all got id = [ ("id-a", Bytes.to_string payload) ]))
+    [ "id-b"; "id-c" ];
+  check tbool "source did not self-deliver" false (Hashtbl.mem got "id-a")
+
 (* --- sliding-window suppression state ------------------------------------ *)
 
 let test_raw_seen_window_bounded () =
@@ -222,18 +275,18 @@ let lossy_oob_run ~seed ~drop n =
     Channel.send chan ~src:"a" ~dst:"b" (Bytes.of_string (string_of_int i))
   done;
   let _ = Event_queue.run eq in
-  (!got, Faults.counters faults)
+  (!got, List.assoc "dropped" (Faults.obs_counters faults))
 
 let test_faults_drop_and_determinism () =
-  let got1, c1 = lossy_oob_run ~seed:7 ~drop:0.3 1000 in
-  let got2, c2 = lossy_oob_run ~seed:7 ~drop:0.3 1000 in
-  check tbool "some frames dropped" true (c1.Faults.dropped > 0);
+  let got1, dropped1 = lossy_oob_run ~seed:7 ~drop:0.3 1000 in
+  let got2, dropped2 = lossy_oob_run ~seed:7 ~drop:0.3 1000 in
+  check tbool "some frames dropped" true (dropped1 > 0);
   check tbool "some frames survived" true (got1 > 0);
   check tint "same seed => same delivery" got1 got2;
-  check tint "same seed => same drop count" c1.Faults.dropped c2.Faults.dropped;
-  let got3, c3 = lossy_oob_run ~seed:8 ~drop:0.3 1000 in
+  check tint "same seed => same drop count" dropped1 dropped2;
+  let got3, dropped3 = lossy_oob_run ~seed:8 ~drop:0.3 1000 in
   check tbool "different seed => different faults" true
-    (got3 <> got1 || c3.Faults.dropped <> c1.Faults.dropped)
+    (got3 <> got1 || dropped3 <> dropped1)
 
 let test_faults_crash_blocks_both_ways () =
   let eq = Event_queue.create () in
@@ -245,7 +298,7 @@ let test_faults_crash_blocks_both_ways () =
   Channel.send chan ~src:"b" ~dst:"a" (Bytes.of_string "from-dead");
   let _ = Event_queue.run eq in
   check tint "nothing through a crashed endpoint" 0 !got;
-  check tint "both counted" 2 (Faults.counters faults).Faults.crash_drops;
+  check tint "both counted" 2 (List.assoc "crash_drops" (Faults.obs_counters faults));
   Faults.restart faults "b";
   Channel.send chan ~src:"a" ~dst:"b" (Bytes.of_string "alive");
   let _ = Event_queue.run eq in
@@ -298,6 +351,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_frame_roundtrip;
           Alcotest.test_case "broadcast roundtrip" `Quick test_frame_broadcast_roundtrip;
+          Alcotest.test_case "fragment roundtrip" `Quick test_frame_fragment_roundtrip;
           QCheck_alcotest.to_alcotest prop_frame_roundtrip;
         ] );
       ( "oob",
@@ -311,6 +365,7 @@ let () =
           Alcotest.test_case "stats" `Quick test_raw_stats_count;
           Alcotest.test_case "seen table bounded" `Quick test_raw_seen_window_bounded;
           Alcotest.test_case "unknown source drops" `Quick test_raw_unknown_source_drops;
+          Alcotest.test_case "large payload fragments" `Quick test_raw_fragments_large_payload;
           QCheck_alcotest.to_alcotest prop_raw_delivery_on_random_trees;
         ] );
       ( "faults",

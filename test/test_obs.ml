@@ -267,7 +267,8 @@ let test_ha_replay_links_spans () =
      done
    with Exit -> ());
   let t0 = match !promoted with Some t -> t | None -> Alcotest.fail "standby never promoted" in
-  check tbool "promotion replayed the unconfirmed requests" true (Ha.replayed s > 0);
+  check tbool "promotion replayed the unconfirmed requests" true
+    (List.assoc "replayed" (Ha.obs_counters s) > 0);
   check tbool "promotion bumped the epoch" true (Ha.epoch s > 0);
   Mgmt.Faults.heal d.Scenarios.dfaults "id-C";
   for t = t0 + 1 to t0 + 4 do

@@ -407,12 +407,12 @@ let test_fuzz_obs_codec () =
 let test_agent_drops_malformed () =
   let v = Scenarios.build_vpn () in
   let agent = List.assoc "A" v.Scenarios.agents in
-  let before = Agent.malformed_drops agent in
+  let before = List.assoc "malformed_drops" (Agent.obs_counters agent) in
   Agent.handle agent ~src:"id-NM" (Bytes.of_string "((((");
   Agent.handle agent ~src:"id-NM" (Bytes.of_string "(bundle not-an-int)");
   Agent.handle agent ~src:"id-NM" (Bytes.of_string "");
   check tint "three malformed frames counted, none raised" (before + 3)
-    (Agent.malformed_drops agent);
+    (List.assoc "malformed_drops" (Agent.obs_counters agent));
   (* the agent still works afterwards *)
   check tbool "agent still answers" true (Agent.modules agent <> [])
 
@@ -454,8 +454,10 @@ let test_no_spurious_failover_under_storm () =
     storm_burst d t;
     step net p s t
   done;
-  check tint "no promotion while heartbeats ride P0" 0 (Ha.promotions s);
-  check tbool "heartbeats kept flowing through the storm" true (Ha.heartbeats_seen s > 0);
+  check tint "no promotion while heartbeats ride P0" 0
+    (List.assoc "promotions" (Ha.obs_counters s));
+  check tbool "heartbeats kept flowing through the storm" true
+    (List.assoc "heartbeats_seen" (Ha.obs_counters s) > 0);
   let c = Mgmt.Admission.counters d.Scenarios.dadmission in
   check tbool "the storm was shed" true (c.(3).Mgmt.Admission.shed > 0);
   check tint "no P0 frame shed" 0 (c.(0).Mgmt.Admission.shed + c.(0).Mgmt.Admission.expired);
