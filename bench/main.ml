@@ -26,6 +26,46 @@ let reproductions () =
   Report.ablations ppf ();
   Fmt.pf ppf "@."
 
+(* --- planner scaling: enumerate-then-choose vs branch and bound ------------------
+
+   The same choice two ways on n-router chains: [Path_finder.choose] over
+   every path [Path_finder.find] lists, and [Path_finder.best]. Wall time is
+   the median of [runs]; words are the minor-heap words one run allocates
+   (the count is deterministic). *)
+
+let planner_scaling () =
+  let runs = 5 in
+  let measure f =
+    let w0 = Gc.minor_words () in
+    let result = f () in
+    let kwords = (Gc.minor_words () -. w0) /. 1000. in
+    let times =
+      List.init runs (fun _ ->
+          let t0 = Unix.gettimeofday () in
+          ignore (f ());
+          (Unix.gettimeofday () -. t0) *. 1000.)
+      |> List.sort compare
+    in
+    (result, List.nth times (runs / 2), kwords)
+  in
+  print_endline "===== planner scaling: find + choose vs best (n-router chain) =====";
+  Printf.printf "%4s %10s %14s %14s %12s %12s\n" "n" "candidates" "find+choose ms"
+    "find+choose kw" "best ms" "best kw";
+  List.iter
+    (fun n ->
+      let c = Scenarios.build_chain n in
+      let topo = Nm.topology c.Scenarios.cnm and goal = c.Scenarios.cgoal in
+      let (candidates, old_choice), old_ms, old_kw =
+        measure (fun () ->
+            let paths = Path_finder.find topo goal in
+            (List.length paths, Path_finder.choose topo paths))
+      in
+      let result, ms, kw = measure (fun () -> Path_finder.best topo goal) in
+      if result <> old_choice then failwith "planner scaling: best differs";
+      Printf.printf "%4d %10d %14.2f %14.0f %12.2f %12.0f\n" n candidates old_ms old_kw ms kw)
+    [ 8; 10; 12; 14 ];
+  print_newline ()
+
 (* --- micro-benchmarks ---------------------------------------------------------- *)
 
 (* Each table/figure of the paper gets a benchmark of the machinery that
@@ -927,6 +967,7 @@ let trace_datapoints (fed_ticks, fed_runs) =
 let () =
   if not quick then begin
     reproductions ();
+    planner_scaling ();
     run_benchmarks ()
   end;
   selfheal_datapoints ();

@@ -105,7 +105,7 @@ let demo scenario channel =
             let paths = Nm.find_paths v.Scenarios.nm v.Scenarios.goal in
             let path = List.find pick paths in
             let script = Nm.configure_path v.Scenarios.nm v.Scenarios.goal path in
-            Ok (paths, path, script)
+            Ok ((), path, script)
       in
       match result with
       | Error e -> Fmt.epr "failed: %s@." e

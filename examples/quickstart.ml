@@ -27,10 +27,11 @@ let () =
     goal.Path_finder.g_from Ids.pp goal.Path_finder.g_to goal.Path_finder.g_src_domain
     goal.Path_finder.g_dst_domain;
 
-  (* 3. Let the NM enumerate the options, choose one and configure it. *)
+  (* 3. List the options, then let the NM choose one and configure it. *)
+  let paths = Nm.find_paths v.Scenarios.nm goal in
   match Nm.achieve v.Scenarios.nm goal with
   | Error e -> Fmt.epr "failed: %s@." e
-  | Ok (paths, chosen, script) ->
+  | Ok (_, chosen, script) ->
       Fmt.pr "The NM found %d possible module-level paths:@." (List.length paths);
       List.iter (fun p -> Fmt.pr "  %a@." Path_finder.pp p) paths;
       Fmt.pr "@.It chose (fewest pipes, best forwarding): %a@.@." Path_finder.pp chosen;

@@ -584,20 +584,14 @@ let abort_script t (script : Script_gen.script) =
    candidate paths by signature (the monitor's "next-best path" lever) and
    [avoid] skips paths visiting the listed devices (diagnosed as faulty). *)
 let achieve_raw ?(configure = true) ?(max_attempts = 4) ?(exclude = []) ?(avoid = []) t goal =
+  let admit_dev d = Topology.is_reachable t.topo d && not (List.mem d avoid) in
+  let admit p = exclude = [] || not (List.mem (Path_finder.signature p) exclude) in
   let rec go attempts =
-    let paths = find_paths t goal in
-    let viable =
-      List.filter
-        (fun p ->
-          List.for_all (Topology.is_reachable t.topo) (devices_of_path p)
-          && (exclude = [] || not (List.mem (Path_finder.signature p) exclude))
-          && (avoid = [] || not (List.exists (fun d -> List.mem d avoid) (devices_of_path p))))
-        paths
-    in
-    match Path_finder.choose t.topo viable with
+    match Path_finder.best ~admit_dev ~admit t.topo goal with
     | None -> (
         (* Name the unreachable devices only when they are what stands
-           between the NM and a path. *)
+           between the NM and a path: only this failure path enumerates. *)
+        let paths = find_paths t goal in
         match
           List.filter
             (fun d -> List.exists (fun p -> List.mem d (devices_of_path p)) paths)
@@ -606,7 +600,7 @@ let achieve_raw ?(configure = true) ?(max_attempts = 4) ?(exclude = []) ?(avoid 
         | [] -> Error "no path satisfies the goal"
         | down -> Error ("device unreachable: " ^ String.concat ", " down))
     | Some path ->
-        if not configure then Ok (paths, path, Script_gen.generate t.topo goal path)
+        if not configure then Ok ((), path, Script_gen.generate t.topo goal path)
         else begin
           let down_before = Topology.unreachable t.topo in
           let script = configure_path t goal path in
@@ -615,7 +609,7 @@ let achieve_raw ?(configure = true) ?(max_attempts = 4) ?(exclude = []) ?(avoid 
               (fun d -> List.mem d (devices_of_path path) && not (List.mem d down_before))
               (Topology.unreachable t.topo)
           in
-          if newly_down = [] then Ok (paths, path, script)
+          if newly_down = [] then Ok ((), path, script)
           else begin
             (* A path device died mid-script: back out what was applied and
                try again — the dead device is now filtered out, so a retry

@@ -74,10 +74,11 @@ val achieve :
   ?max_attempts:int ->
   t ->
   Path_finder.goal ->
-  (Path_finder.path list * Path_finder.path * Script_gen.script, string) result
-(** The full pipeline: enumerate, choose, generate and (unless
-    [configure:false]) execute. Returns all candidate paths, the chosen
-    one, and its script.
+  (unit * Path_finder.path * Script_gen.script, string) result
+(** The full pipeline: search ({!Path_finder.best}), generate and (unless
+    [configure:false]) execute. Returns the chosen path and its script; the
+    first component carries nothing and only keeps the triple's shape for
+    existing pattern matches. {!find_paths} lists every candidate.
 
     Degraded mode: paths through devices currently marked unreachable are
     skipped, and if a path device stops answering mid-script the partial

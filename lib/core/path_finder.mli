@@ -13,7 +13,11 @@ type visit = {
   v_mod : Ids.t;
   v_kind : Abstraction.switch_kind; (** the switch rule this step needs *)
   v_action : action;
-  v_chain : int; (** the header chain acted on; see {!base_eth}/{!base_ip} *)
+  v_chain : int;
+      (** the header chain acted on: {!base_eth}, {!base_ip}, or a header
+          pushed on this path, numbered [base_ip + 1 + k] for the path's
+          [k]-th push. The ids depend on the path alone, so the same path
+          compares equal with [=] whichever search returned it. *)
 }
 
 type path = { visits : visit list }
@@ -41,8 +45,21 @@ val base_ip : int
     modules, never terminated mid-path). *)
 
 val find : ?prune_domains:bool -> Topology.t -> goal -> path list
-(** All protocol-sane paths. [prune_domains:false] disables the
-    figure-6(b) address-domain check (ablation). *)
+(** All protocol-sane paths, in depth-first order. [prune_domains:false]
+    disables the figure-6(b) address-domain check (ablation). *)
+
+val best :
+  ?admit_dev:(string -> bool) -> ?admit:(path -> bool) -> Topology.t -> goal -> path option
+(** The path {!choose} would pick among the admitted paths of {!find},
+    without listing them: [best ~admit_dev ~admit topo goal] is
+    [choose topo (List.filter admissible (find topo goal))], where a path is
+    admissible when [admit_dev] accepts each of its devices and [admit]
+    accepts the path.
+
+    [best] runs {!find}'s traversal as a branch and bound: [admit_dev] is
+    checked when the search enters a module, [admit] when a path completes,
+    and a branch is dropped as soon as its pipe count exceeds the best
+    admitted path's. Both predicates default to accepting everything. *)
 
 val find_hierarchical : ?prune_domains:bool -> Topology.t -> goal -> path list
 (** The paper's scalability suggestion (§III-C.3): find a device-level walk
@@ -62,4 +79,5 @@ val fast_modules : Topology.t -> path -> int
 
 val choose : Topology.t -> path list -> path option
 (** Minimise {!pipe_count}, tie-break on {!fast_modules} — the rule that
-    makes the NM pick the MPLS path, as in the paper. *)
+    makes the NM pick the MPLS path, as in the paper. Among equal keys the
+    first path in the list wins. *)

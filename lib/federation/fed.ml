@@ -427,8 +427,7 @@ let on_plan_resp t g ~devices ~module_domains ~prefixes:_ =
     ~domain_prefixes:topo.Topology.domain_prefixes;
   let scope = t.devices @ List.map (fun (d, _, _) -> d) devices in
   let goal = { g.gr_goal with Path_finder.g_scope = scope } in
-  let paths = Path_finder.find scratch goal in
-  match Path_finder.choose scratch paths with
+  match Path_finder.best scratch goal with
   | None ->
       t.stats.plan_errs <- t.stats.plan_errs + 1;
       close_phase t g ~status:"failed: no path";

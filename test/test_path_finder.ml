@@ -1,13 +1,14 @@
 (* Dedicated path-finder tests: enumeration on chains of varying length,
    the domain-pruning ablation, encapsulation-balance invariants, goal
-   error cases, and a property test that configures randomly chosen paths
-   end to end. *)
+   error cases, the branch-and-bound planner against the enumerator, and a
+   property test that configures randomly chosen paths end to end. *)
 
 open Conman
 
 let check = Alcotest.check
 let tbool = Alcotest.bool
 let tint = Alcotest.int
+let tstr = Alcotest.string
 
 (* --- invariants over enumerated paths --------------------------------------- *)
 
@@ -159,6 +160,157 @@ let test_achieve_without_configure_is_pure () =
   | Ok _ -> ());
   check tbool "nothing configured" false (Scenarios.vpn_reachable v)
 
+let test_achieve_error_no_path () =
+  (* with the core out of scope the search finds nothing and no device is
+     to blame *)
+  let v = Scenarios.build_vpn () in
+  let goal = { v.Scenarios.goal with Path_finder.g_scope = [ "id-A" ] } in
+  match Nm.achieve ~configure:false v.Scenarios.nm goal with
+  | Error e -> check tstr "error" "no path satisfies the goal" e
+  | Ok _ -> Alcotest.fail "achieve must fail"
+
+let test_achieve_error_unreachable () =
+  (* every route crosses the core router: marking it unreachable names it *)
+  let v = Scenarios.build_vpn () in
+  Topology.set_reachable (Nm.topology v.Scenarios.nm) "id-B" false;
+  match Nm.achieve ~configure:false v.Scenarios.nm v.Scenarios.goal with
+  | Error e -> check tstr "error" "device unreachable: id-B" e
+  | Ok _ -> Alcotest.fail "achieve must fail"
+
+(* --- branch and bound vs enumerate-then-choose ------------------------------------- *)
+
+let test_find_order_and_counts () =
+  let v = Scenarios.build_vpn () in
+  check (Alcotest.list tstr) "the nine, in traversal order"
+    [
+      "a, g, h, b, c, i, d, e, j, k, f";
+      "a, g, h, b, c, i, p, d, e, q, j, k, f";
+      "a, g, h, o, b, c, p, i, d, e, j, k, f";
+      "a, g, h, o, b, c, p, d, e, q, j, k, f";
+      "a, g, l, h, b, c, i, d, e, j, n, k, f";
+      "a, g, l, h, b, c, i, p, d, e, q, j, n, k, f";
+      "a, g, l, h, o, b, c, p, i, d, e, j, n, k, f";
+      "a, g, l, h, o, b, c, p, d, e, q, j, n, k, f";
+      "a, g, o, b, c, p, d, e, q, k, f";
+    ]
+    (List.map Path_finder.signature (all_paths v));
+  List.iter
+    (fun (n, expected) ->
+      let c = Scenarios.build_chain n in
+      check tint (Printf.sprintf "n=%d" n) expected
+        (List.length (Nm.find_paths c.Scenarios.cnm c.Scenarios.cgoal)))
+    [ (2, 6); (3, 9); (6, 65); (8, 257) ]
+
+let test_chain_ids_per_path () =
+  (* a path's pushed headers are numbered by its own pushes, in order *)
+  let c = Scenarios.build_chain 4 in
+  List.iter
+    (fun (p : Path_finder.path) ->
+      let pushed =
+        List.filter_map
+          (fun (v : Path_finder.visit) ->
+            if
+              v.Path_finder.v_action = Path_finder.Push
+              && v.Path_finder.v_chain <> Path_finder.base_eth
+            then Some v.Path_finder.v_chain
+            else None)
+          p.Path_finder.visits
+      in
+      check (Alcotest.list tint) (Path_finder.signature p)
+        (List.mapi (fun k _ -> Path_finder.base_ip + 1 + k) pushed)
+        pushed)
+    (Nm.find_paths c.Scenarios.cnm c.Scenarios.cgoal)
+
+(* The planner's cases: chains of 2..8 routers, the figure-4 VPN (plain
+   and secure) and the diamond, each as (name, topology, goal, devices). *)
+let planner_cases =
+  lazy
+    (List.map
+       (fun n ->
+         let c = Scenarios.build_chain n in
+         ( Printf.sprintf "chain %d" n,
+           Nm.topology c.Scenarios.cnm,
+           c.Scenarios.cgoal,
+           c.Scenarios.cscope ))
+       [ 2; 3; 4; 5; 6; 7; 8 ]
+    @ List.map
+        (fun secure ->
+          let v = Scenarios.build_vpn ~secure () in
+          ( (if secure then "secure vpn" else "vpn"),
+            Nm.topology v.Scenarios.nm,
+            v.Scenarios.goal,
+            v.Scenarios.scope ))
+        [ false; true ]
+    @
+    let d = Scenarios.build_diamond () in
+    [ ("diamond", Nm.topology d.Scenarios.dnm, d.Scenarios.dgoal, d.Scenarios.dscope) ])
+
+(* [best] against [choose (filter (find ...))]: [next] successive winners
+   plus a few random signatures are excluded (the monitor's next-best
+   lever), and a random device set is avoided. *)
+let prop_best_matches_choose =
+  QCheck.Test.make ~name:"best = choose (filter (find ...)) under exclude/avoid" ~count:120
+    (QCheck.make
+       ~print:(fun (c, next, ex, av) ->
+         Printf.sprintf "case=%d next=%d exclude=[%s] avoid=[%s]" c next
+           (String.concat ";" (List.map string_of_int ex))
+           (String.concat ";" (List.map string_of_int av)))
+       QCheck.Gen.(
+         quad (int_bound 9) (int_bound 3)
+           (list_size (int_bound 3) nat)
+           (list_size (int_bound 2) nat)))
+    (fun (c, next, ex, av) ->
+      let name, topo, goal, devices = List.nth (Lazy.force planner_cases) c in
+      let all = Path_finder.find topo goal in
+      let pick xs i = List.nth xs (i mod List.length xs) in
+      let avoid = List.map (pick devices) av in
+      let admit_dev d = not (List.mem d avoid) in
+      let random_excluded = List.map (fun i -> Path_finder.signature (pick all i)) ex in
+      let expected exclude =
+        Path_finder.choose topo
+          (List.filter
+             (fun (p : Path_finder.path) ->
+               (not (List.mem (Path_finder.signature p) exclude))
+               && List.for_all
+                    (fun (v : Path_finder.visit) -> admit_dev v.Path_finder.v_mod.Ids.dev)
+                    p.Path_finder.visits)
+             all)
+      in
+      (* exclude [next] winners in turn, checking every round *)
+      let rec rounds exclude k =
+        let want = expected exclude in
+        let got =
+          Path_finder.best ~admit_dev
+            ~admit:(fun p -> not (List.mem (Path_finder.signature p) exclude))
+            topo goal
+        in
+        let prims p = (Script_gen.generate topo goal p).Script_gen.prims in
+        let same =
+          match (got, want) with
+          | None, None -> true
+          | Some g, Some w -> g = w && prims g = prims w
+          | _ -> false
+        in
+        if not same then
+          QCheck.Test.fail_reportf "%s: best and choose differ with exclude [%s]" name
+            (String.concat " | " exclude)
+        else
+          match want with
+          | Some w when k > 0 -> rounds (Path_finder.signature w :: exclude) (k - 1)
+          | _ -> true
+      in
+      rounds random_excluded next)
+
+let test_achieve_allocation_guard () =
+  (* planning the 12-router chain (4 097 candidates) without listing them *)
+  let c = Scenarios.build_chain 12 in
+  let before = Gc.minor_words () in
+  (match Nm.achieve ~configure:false c.Scenarios.cnm c.Scenarios.cgoal with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let words = Gc.minor_words () -. before in
+  check tbool (Printf.sprintf "%.0f minor words < 4M" words) true (words < 4e6)
+
 (* --- exhaustive: every enumerated path, once configured, carries traffic ---------- *)
 
 let test_every_path_configures () =
@@ -221,6 +373,16 @@ let () =
           Alcotest.test_case "out of scope" `Quick test_no_path_outside_scope;
           Alcotest.test_case "missing domains" `Quick test_no_path_without_domains;
           Alcotest.test_case "achieve without configure" `Quick test_achieve_without_configure_is_pure;
+          Alcotest.test_case "achieve: no path message" `Quick test_achieve_error_no_path;
+          Alcotest.test_case "achieve: unreachable device message" `Quick
+            test_achieve_error_unreachable;
+        ] );
+      ( "planner",
+        [
+          Alcotest.test_case "find order and counts" `Quick test_find_order_and_counts;
+          Alcotest.test_case "chain ids per path" `Quick test_chain_ids_per_path;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 15 |]) prop_best_matches_choose;
+          Alcotest.test_case "chain 12 allocation guard" `Quick test_achieve_allocation_guard;
         ] );
       ( "properties",
         [
