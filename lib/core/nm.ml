@@ -23,12 +23,10 @@ type t = {
   mutable inflight : (int * string * Wire.t) list;
       (* state-changing requests (bundles, address assignments) sent but
          not yet confirmed — replayed by a standby after take_over *)
-  mutable outstanding : int list; (* unanswered request ids *)
-  mutable actuals : (int * (Ids.t * (string * string) list) list) list;
-  mutable perfs : (int * (Ids.t * (string * (string * int) list) list) list) list;
+  replies : (int, Wire.t option) Hashtbl.t;
+      (* request id -> the answer, present only while an [ask] awaits it *)
   mutable completions : (Ids.t * string) list;
   mutable errors : (string * string) list;
-  mutable self_tests : (int * (Ids.t * bool * string)) list;
   mutable triggers : (Ids.t * string * string) list;
   mutable convey_log : (Ids.t * Ids.t * Peer_msg.t) list; (* figure-3 trace *)
   mutable active_scripts : Script_gen.script list; (* for dependency repair *)
@@ -186,21 +184,25 @@ let confirm t req =
       t.inflight <- keep;
       (match t.on_confirm with Some f -> f req | None -> ())
 
-let annex_of t reporter =
-  { Wire.domains = t.topo.Topology.domain_prefixes; reporter }
+let next_req t =
+  t.req <- t.req + 1;
+  t.req
+
+(* Ships [cmds] to [dst] as one bundle under a fresh request id. *)
+let ship t ~dst ?reporter cmds =
+  let req = next_req t in
+  let annex = { Wire.domains = t.topo.Topology.domain_prefixes; reporter } in
+  send_req t ~dst ~req (Wire.Bundle { req; cmds; annex })
 
 (* [batched:false] ships every primitive as its own message instead of one
    bundle per device — an ablation of the paper's accounting assumption
    that the NM sends "commands to each router" as one unit. *)
 let send_script ?(batched = true) t (script : Script_gen.script) =
+  let reporter = script.Script_gen.reporter in
   List.iter
     (fun (dev, prims) ->
-      let ship cmds =
-        t.req <- t.req + 1;
-        send_req t ~dst:dev ~req:t.req
-          (Wire.Bundle { req = t.req; cmds; annex = annex_of t script.Script_gen.reporter })
-      in
-      if batched then ship prims else List.iter (fun p -> ship [ p ]) prims)
+      if batched then ship t ~dst:dev ?reporter prims
+      else List.iter (fun p -> ship t ~dst:dev ?reporter [ p ]) prims)
     script.Script_gen.per_device
 
 (* Ships only the slices of [script]'s deletion script that target devices
@@ -212,20 +214,11 @@ let send_deletion_reachable t (script : Script_gen.script) =
   List.iter
     (fun (dev, prims) ->
       if prims <> [] then
-        if Topology.is_reachable t.topo dev then begin
-          t.req <- t.req + 1;
-          send_req t ~dst:dev ~req:t.req
-            (Wire.Bundle { req = t.req; cmds = prims; annex = annex_of t None })
-        end
+        if Topology.is_reachable t.topo dev then ship t ~dst:dev prims
         else
           let owed = Option.value ~default:[] (Hashtbl.find_opt t.pending_deletes dev) in
           Hashtbl.replace t.pending_deletes dev (owed @ prims))
     del.Script_gen.per_device
-
-let fresh_req t =
-  t.req <- t.req + 1;
-  t.outstanding <- t.req :: t.outstanding;
-  t.req
 
 (* Per-process NM boot counter; see [create]. *)
 let req_stride = 1 lsl 20
@@ -243,9 +236,7 @@ let settle_debts t src =
   match Hashtbl.find_opt t.pending_deletes src with
   | Some prims when prims <> [] ->
       Hashtbl.remove t.pending_deletes src;
-      t.req <- t.req + 1;
-      send_req t ~dst:src ~req:t.req
-        (Wire.Bundle { req = t.req; cmds = prims; annex = annex_of t None })
+      ship t ~dst:src prims
   | _ -> Hashtbl.remove t.pending_deletes src
 
 let rec handle t ~src payload =
@@ -310,7 +301,7 @@ and handle_msg t ~src msg =
                the device itself): relearn its potential and re-apply the
                slices of every active script that configure it. *)
             Topology.set_reachable t.topo src true;
-            send t ~dst:src (Wire.Show_potential_req { req = fresh_req t });
+            send t ~dst:src (Wire.Show_potential_req { req = next_req t });
             (* settle debts first: deletions owed from back-outs that could
                not reach the device must precede re-applied scripts, since
                pipe ids can collide across scripts *)
@@ -319,24 +310,18 @@ and handle_msg t ~src msg =
               (fun (script : Script_gen.script) ->
                 List.iter
                   (fun (dev, prims) ->
-                    if dev = src && prims <> [] then begin
-                      t.req <- t.req + 1;
-                      send_req t ~dst:dev ~req:t.req
-                        (Wire.Bundle
-                           { req = t.req; cmds = prims; annex = annex_of t script.Script_gen.reporter })
-                    end)
+                    if dev = src && prims <> [] then
+                      ship t ~dst:dev ?reporter:script.Script_gen.reporter prims)
                   script.Script_gen.per_device)
               t.active_scripts
           end
-      | Wire.Show_potential_resp { req; modules } ->
-          Topology.record_potential t.topo ~src modules;
-          t.outstanding <- List.filter (( <> ) req) t.outstanding
-      | Wire.Show_actual_resp { req; state } ->
-          t.actuals <- (req, state) :: t.actuals;
-          t.outstanding <- List.filter (( <> ) req) t.outstanding
-      | Wire.Show_perf_resp { req; perf } ->
-          t.perfs <- (req, perf) :: t.perfs;
-          t.outstanding <- List.filter (( <> ) req) t.outstanding
+      | Wire.Show_potential_resp { modules; _ } ->
+          Topology.record_potential t.topo ~src modules
+      | Wire.Show_actual_resp { req; _ } | Wire.Show_perf_resp { req; _ }
+      | Wire.Self_test_resp { req; _ } ->
+          (* kept only for an [ask] still awaiting it: a late answer to a
+             request whose run ended at the horizon is dropped *)
+          if Hashtbl.mem t.replies req then Hashtbl.replace t.replies req (Some msg)
       | Wire.Convey { src = msrc; dst; payload } -> (
           (* the NM relays module-to-module messages (conveyMessage); a
              destination outside our domain is handed to the federation
@@ -351,9 +336,6 @@ and handle_msg t ~src msg =
           finish_req t req ("failed: " ^ error);
           confirm t req;
           t.errors <- (src, error) :: t.errors
-      | Wire.Self_test_resp { req; target; ok; detail } ->
-          t.self_tests <- (req, (target, ok, detail)) :: t.self_tests;
-          t.outstanding <- List.filter (( <> ) req) t.outstanding
       | Wire.Trigger { src = m; field; value } ->
           t.triggers <- (m, field, value) :: t.triggers;
           (* dependency maintenance (§II-E): a low-level value changed; the
@@ -388,12 +370,9 @@ and create ?transport ?journal ~chan ~net ~my_id () =
       stats = { sent = 0; received = 0; acks = 0 };
       req = !incarnations * req_stride;
       inflight = [];
-      outstanding = [];
-      actuals = [];
-      perfs = [];
+      replies = Hashtbl.create 8;
       completions = [];
       errors = [];
-      self_tests = [];
       triggers = [];
       convey_log = [];
       active_scripts = [];
@@ -491,26 +470,50 @@ let retire_intent t (i : Intent.t) =
     i.Intent.status <- Intent.Retired
   end
 
+(* Binds the intent to the script its realisation produced, or notes why
+   there is none. *)
+let settle_intent t intent script_of res =
+  (match res with
+  | Ok r -> bind_intent t intent (script_of r)
+  | Error e -> Intent.note_error intent e);
+  res
+
+(* Runs [f] under a goal span named [name], closed with [f]'s outcome. *)
+let with_goal t name f =
+  let g = open_goal t name in
+  let res = f () in
+  close_goal t g ~status:(match res with Ok _ -> "ok" | Error e -> "failed: " ^ e);
+  res
+
 (* --- discovery -------------------------------------------------------------- *)
 
 (* showPotential at every device the NM knows about (or is told to manage). *)
 let harvest_potentials t devices =
-  List.iter (fun dev -> send t ~dst:dev (Wire.Show_potential_req { req = fresh_req t })) devices;
+  List.iter (fun dev -> send t ~dst:dev (Wire.Show_potential_req { req = next_req t })) devices;
   run t
 
-let show_actual t dev =
-  let req = fresh_req t in
-  send t ~dst:dev (Wire.Show_actual_req { req });
+(* Sends the read [mk req] to [dst], runs the network and consumes the
+   answer: [None] when none arrived within the run. *)
+let ask t ~dst mk =
+  let req = next_req t in
+  Hashtbl.replace t.replies req None;
+  send t ~dst (mk req);
   run t;
-  List.assoc_opt req t.actuals
+  let reply = Option.join (Hashtbl.find_opt t.replies req) in
+  Hashtbl.remove t.replies req;
+  reply
+
+let show_actual t dev =
+  match ask t ~dst:dev (fun req -> Wire.Show_actual_req { req }) with
+  | Some (Wire.Show_actual_resp { state; _ }) -> Some state
+  | _ -> None
 
 (* showPerf at one device: per-module, per-pipe counter snapshots. [None]
-   means the agent never answered (within the horizon). *)
+   means the agent never answered within the run. *)
 let show_perf t dev =
-  let req = fresh_req t in
-  send t ~dst:dev (Wire.Show_perf_req { req });
-  run t;
-  List.assoc_opt req t.perfs
+  match ask t ~dst:dev (fun req -> Wire.Show_perf_req { req }) with
+  | Some (Wire.Show_perf_resp { perf; _ }) -> Some perf
+  | _ -> None
 
 (* --- goal achievement (figure 7(a) top: high-level goal -> low-level goal ->
    CONMan script -> protocol state) ------------------------------------------ *)
@@ -532,6 +535,15 @@ let devices_of_path (path : Path_finder.path) =
       if List.mem d acc then acc else d :: acc)
     [] path.Path_finder.visits
 
+(* Does the in-flight request ship one of [script]'s device slices? *)
+let ships_slice_of (script : Script_gen.script) (_, dst, msg) =
+  match payload_of msg with
+  | Wire.Bundle { cmds; _ } ->
+      List.exists
+        (fun (dev, prims) -> dev = dst && prims <> [] && cmds = prims)
+        script.Script_gen.per_device
+  | _ -> false
+
 (* Unconfirmed creates of a script being dismantled must never be
    re-issued by a later [flush_inflight]: a create that was lost in flight
    and re-sent after the back-out's deletion would resurrect state the NM
@@ -539,15 +551,7 @@ let devices_of_path (path : Path_finder.path) =
    execute and only its ack was lost, the delete reclaims the state; if it
    never executed, the delete is an idempotent no-op. *)
 let cancel_unconfirmed t (script : Script_gen.script) =
-  let belongs (_, dst, msg) =
-    match payload_of msg with
-    | Wire.Bundle { cmds; _ } ->
-        List.exists
-          (fun (dev, prims) -> dev = dst && prims <> [] && cmds = prims)
-          script.Script_gen.per_device
-    | _ -> false
-  in
-  let victims, keep = List.partition belongs t.inflight in
+  let victims, keep = List.partition (ships_slice_of script) t.inflight in
   t.inflight <- keep;
   (* the standby replicated these sends as re-issue candidates; a cancel
      is as final as a confirm, so tell it — otherwise a promotion replays
@@ -622,22 +626,15 @@ let achieve_raw ?(configure = true) ?(max_attempts = 4) ?(exclude = []) ?(avoid 
   in
   go max_attempts
 
+let script_of_path (_, _, script) = script
+
 let achieve ?(configure = true) ?max_attempts t goal =
   if not configure then achieve_raw ~configure:false ?max_attempts t goal
-  else begin
+  else
+    with_goal t "achieve" @@ fun () ->
     (* write-ahead: the intent is journalled before any device is touched *)
-    let g = open_goal t "achieve" in
     let intent = record_intent t (Intent.Connect goal) in
-    match achieve_raw ~configure:true ?max_attempts t goal with
-    | Ok (_, _, script) as ok ->
-        bind_intent t intent script;
-        close_goal t g ~status:"ok";
-        ok
-    | Error e ->
-        Intent.note_error intent e;
-        close_goal t g ~status:("failed: " ^ e);
-        Error e
-  end
+    settle_intent t intent script_of_path (achieve_raw ~configure:true ?max_attempts t goal)
 
 (* --- multiple NMs (§V): warm standby and takeover ------------------------------ *)
 
@@ -714,9 +711,8 @@ let take_over ?epoch t =
 (* Assigns an address to an IP module — the task the paper deliberately
    centralises in the NM "as DHCP servers do today" (§II-E). *)
 let send_address t ~target ~addr ~plen =
-  t.req <- t.req + 1;
-  send_req t ~dst:target.Ids.dev ~req:t.req
-    (Wire.Set_address { req = t.req; target; addr; plen });
+  let req = next_req t in
+  send_req t ~dst:target.Ids.dev ~req (Wire.Set_address { req; target; addr; plen });
   run t
 
 let assign_address t ~target ~addr ~plen =
@@ -727,14 +723,7 @@ let assign_address t ~target ~addr ~plen =
 (* Installs performance-enforcement state (§II-D.1(c)): rate-limit the
    traffic a module sends into a pipe. *)
 let send_rate t ~owner ~pipe_id ~rate_kbps =
-  t.req <- t.req + 1;
-  send_req t ~dst:owner.Ids.dev ~req:t.req
-    (Wire.Bundle
-       {
-         req = t.req;
-         cmds = [ Primitive.Create_perf { owner; pipe_id; rate_kbps } ];
-         annex = annex_of t None;
-       });
+  ship t ~dst:owner.Ids.dev [ Primitive.Create_perf { owner; pipe_id; rate_kbps } ];
   run t
 
 let enforce_rate t ~owner ~pipe_id ~rate_kbps =
@@ -743,14 +732,7 @@ let enforce_rate t ~owner ~pipe_id ~rate_kbps =
   commit_intent t intent
 
 let remove_rate t ~owner ~pipe_id =
-  t.req <- t.req + 1;
-  send_req t ~dst:owner.Ids.dev ~req:t.req
-    (Wire.Bundle
-       {
-         req = t.req;
-         cmds = [ Primitive.Delete_perf { owner; pipe_id } ];
-         annex = annex_of t None;
-       });
+  ship t ~dst:owner.Ids.dev [ Primitive.Delete_perf { owner; pipe_id } ];
   List.iter
     (fun (i : Intent.t) ->
       match i.Intent.spec with
@@ -997,19 +979,10 @@ let achieve_l2_raw ?(configure = true) t ~scope ~from_eth ~to_eth =
 
 let achieve_l2 ?(configure = true) t ~scope ~from_eth ~to_eth =
   if not configure then achieve_l2_raw ~configure:false t ~scope ~from_eth ~to_eth
-  else begin
-    let g = open_goal t "achieve-l2" in
+  else
+    with_goal t "achieve-l2" @@ fun () ->
     let intent = record_intent t (Intent.Connect_l2 { scope; from_eth; to_eth }) in
-    match achieve_l2_raw ~configure:true t ~scope ~from_eth ~to_eth with
-    | Ok script as ok ->
-        bind_intent t intent script;
-        close_goal t g ~status:"ok";
-        ok
-    | Error e ->
-        Intent.note_error intent e;
-        close_goal t g ~status:("failed: " ^ e);
-        Error e
-  end
+    settle_intent t intent Fun.id (achieve_l2_raw ~configure:true t ~scope ~from_eth ~to_eth)
 
 (* --- reconciliation support (used by Monitor) --------------------------------- *)
 
@@ -1017,11 +990,6 @@ let achieve_l2 ?(configure = true) t ~scope ~from_eth ~to_eth =
    still answer, then re-achieves. [exclude]/[avoid] steer layer-3 goals
    onto the next-best path. *)
 let reconfigure ?(exclude = []) ?(avoid = []) t (intent : Intent.t) =
-  let g = open_goal t "reconfigure" in
-  let finish res =
-    close_goal t g ~status:(match res with Ok () -> "ok" | Error e -> "failed: " ^ e);
-    res
-  in
   let back_out () =
     match intent.Intent.script with
     | Some old ->
@@ -1048,29 +1016,18 @@ let reconfigure ?(exclude = []) ?(avoid = []) t (intent : Intent.t) =
             run t
         | None -> ())
   in
-  finish
-  @@
+  with_goal t "reconfigure" @@ fun () ->
   match intent.Intent.spec with
-  | Intent.Connect goal -> (
+  | Intent.Connect goal ->
       (match intent.Intent.script with
       | Some _ -> back_out ()
       | None -> back_out_ghost goal);
-      match achieve_raw ~configure:true ~exclude ~avoid t goal with
-      | Ok (_, _, script) ->
-          bind_intent t intent script;
-          Ok ()
-      | Error e ->
-          Intent.note_error intent e;
-          Error e)
-  | Intent.Connect_l2 { scope; from_eth; to_eth } -> (
+      Result.map ignore
+        (settle_intent t intent script_of_path (achieve_raw ~configure:true ~exclude ~avoid t goal))
+  | Intent.Connect_l2 { scope; from_eth; to_eth } ->
       back_out ();
-      match achieve_l2_raw ~configure:true t ~scope ~from_eth ~to_eth with
-      | Ok script ->
-          bind_intent t intent script;
-          Ok ()
-      | Error e ->
-          Intent.note_error intent e;
-          Error e)
+      Result.map ignore
+        (settle_intent t intent Fun.id (achieve_l2_raw ~configure:true t ~scope ~from_eth ~to_eth))
   | Intent.Address { target; addr; plen } ->
       send_address t ~target ~addr ~plen;
       commit_intent t intent;
@@ -1123,12 +1080,9 @@ let escalate t (intent : Intent.t) msg =
 (* --- debugging (§II-D.2) ------------------------------------------------------ *)
 
 let self_test ?against t target =
-  let req = fresh_req t in
-  send t ~dst:target.Ids.dev (Wire.Self_test_req { req; target; against });
-  run t;
-  match List.assoc_opt req t.self_tests with
-  | Some (_, ok, detail) -> (ok, detail)
-  | None -> (false, "no response from device (management channel?)")
+  match ask t ~dst:target.Ids.dev (fun req -> Wire.Self_test_req { req; target; against }) with
+  | Some (Wire.Self_test_resp { ok; detail; _ }) -> (ok, detail)
+  | _ -> (false, "no response from device (management channel?)")
 
 (* Walks the modules of a configured path, self-testing each; returns the
    per-module verdicts so a failure can be localised. *)
@@ -1169,12 +1123,10 @@ let set_auto_repair t v = t.auto_repair <- v
 let stats_sent t = t.stats.sent
 let stats_received t = t.stats.received
 let inflight_count t = List.length t.inflight
-let transport t = t.transport
 
 (* --- high-availability support (used by Ha) ----------------------------------- *)
 
 let my_id t = t.my_id
-let epoch t = t.epoch
 let set_epoch t e = t.epoch <- max t.epoch e
 let send_msg t ~dst msg = send t ~dst msg
 let set_ha_hook t f = t.ha_hook <- Some f
@@ -1226,15 +1178,5 @@ let run_script t (script : Script_gen.script) =
   t.active_scripts <- script :: t.active_scripts;
   send_script t script
 
-(* Is any of [script]'s bundles still awaiting confirmation? Uses the same
-   slice-matching predicate as [cancel_unconfirmed]. *)
-let script_pending t (script : Script_gen.script) =
-  List.exists
-    (fun (_, dst, msg) ->
-      match payload_of msg with
-      | Wire.Bundle { cmds; _ } ->
-          List.exists
-            (fun (dev, prims) -> dev = dst && prims <> [] && cmds = prims)
-            script.Script_gen.per_device
-      | _ -> false)
-    t.inflight
+(* Is any of [script]'s bundles still awaiting confirmation? *)
+let script_pending t script = List.exists (ships_slice_of script) t.inflight

@@ -48,13 +48,15 @@ val harvest_potentials : t -> string list -> unit
 (** showPotential at every listed device; fills {!topology}. *)
 
 val show_actual : t -> string -> (Ids.t * (string * string) list) list option
-(** showActual at one device: per-module low-level state report. *)
+(** showActual at one device: per-module low-level state report. [None]
+    when no answer arrives within the run (to quiescence, or to the
+    horizon); an answer that arrives later is discarded. *)
 
 val show_perf : t -> string -> (Ids.t * (string * (string * int) list) list) list option
 (** showPerf at one device: per-module, per-pipe monotonic counter
     snapshots (the abstraction's performance aspect). [None] when the
-    agent did not answer within the horizon — telemetry treats that as
-    the device being unreachable. *)
+    agent did not answer within the run — telemetry treats that as the
+    device being unreachable. An answer that arrives later is discarded. *)
 
 val topology : t -> Topology.t
 val net : t -> Netsim.Net.t
@@ -157,7 +159,9 @@ val escalate : t -> Intent.t -> string -> unit
 
 val self_test : ?against:Ids.t -> t -> Ids.t -> bool * string
 (** Asks one module to self-test; with [against] it probes data-plane
-    connectivity towards that module instead. *)
+    connectivity towards that module instead. [(false, "no response from
+    device (management channel?)")] when no answer arrives within the run;
+    an answer that arrives later is discarded. *)
 
 val diagnose : t -> Path_finder.path -> (Ids.t * bool * string) list
 (** Walks a configured path, self-testing every module: localises faults
@@ -190,9 +194,6 @@ val take_over : ?epoch:int -> t -> unit
 (** {2 High-availability support (used by {!Ha})} *)
 
 val my_id : t -> string
-
-val epoch : t -> int
-(** Current leadership epoch; 0 = unfenced single-NM legacy mode. *)
 
 val set_epoch : t -> int -> unit
 (** Raises the epoch (never lowers it); subsequent frames are fenced. *)
@@ -303,7 +304,6 @@ val stats_received : t -> int
 val inflight_count : t -> int
 (** State-changing requests sent but not yet confirmed by an agent. *)
 
-val transport : t -> Mgmt.Reliable.t option
 val conveys : t -> (Ids.t * Ids.t * Peer_msg.t) list
 (** The conveyMessage relay log (the figure-3 trace). *)
 

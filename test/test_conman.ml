@@ -731,6 +731,42 @@ let test_nm_takeover () =
   check tint "primary received nothing after takeover" before_primary
     (Nm.stats_received v.Scenarios.nm)
 
+(* --- reads ----------------------------------------------------------------------- *)
+
+let no_response = "no response from device (management channel?)"
+
+(* A read's answer is consumed when it is read: the NM keeps nothing per
+   read, so its reachable heap is the same after 10 and 1 010 rounds. *)
+let test_reads_keep_no_state () =
+  let v = Scenarios.build_vpn () in
+  let nm = v.Scenarios.nm in
+  let target = fst (List.hd (Topology.modules_of_device (Nm.topology nm) "id-C")) in
+  let round () =
+    check tbool "showActual answered" true (Nm.show_actual nm "id-C" <> None);
+    check tbool "showPerf answered" true (Nm.show_perf nm "id-C" <> None);
+    check tbool "self test answered" true (snd (Nm.self_test nm target) <> no_response)
+  in
+  let words () = Obj.reachable_words (Obj.repr nm) in
+  for _ = 1 to 10 do round () done;
+  let after_10 = words () in
+  for _ = 1 to 1000 do round () done;
+  check tint "reachable words after 1 010 rounds" after_10 (words ())
+
+(* An answer that arrives after its read gave up at the horizon is
+   dropped, not kept. *)
+let test_late_reply_dropped () =
+  let v = Scenarios.build_vpn () in
+  let nm = v.Scenarios.nm in
+  let current = Nm.show_actual nm "id-C" in
+  let words () = Obj.reachable_words (Obj.repr nm) in
+  let before = words () in
+  Nm.set_horizon nm (Some (Netsim.Event_queue.now (Netsim.Net.eq (Nm.net nm))));
+  check tbool "no answer within the horizon" true (Nm.show_actual nm "id-C" = None);
+  Nm.set_horizon nm None;
+  Nm.run nm;
+  check tint "stray reply dropped" before (words ());
+  check tbool "next showActual is current" true (Nm.show_actual nm "id-C" = current)
+
 let () =
   Alcotest.run "conman"
     [
@@ -800,6 +836,11 @@ let () =
         ] );
       ( "multi-nm",
         [ Alcotest.test_case "warm standby takeover" `Quick test_nm_takeover ] );
+      ( "reads",
+        [
+          Alcotest.test_case "answers are consumed when read" `Quick test_reads_keep_no_state;
+          Alcotest.test_case "late reply is dropped" `Quick test_late_reply_dropped;
+        ] );
       ( "teardown",
         [
           Alcotest.test_case "GRE teardown" `Quick test_teardown;
